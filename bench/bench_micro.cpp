@@ -12,8 +12,8 @@
 ///      cost for the lock-free dense cache vs the old mutex+unordered_map
 ///      memo (kept here as a baseline replica), sharded predecode, and
 ///      the cache hit rate. `--json PATH` writes the same rows as a
-///      fetch-bench-v1 document — the checked-in BENCH_hotpath.json
-///      baseline is produced by this half.
+///      fetch-bench-v1 document — the checked-in smoke baseline
+///      (bench/baselines/bench_micro_smoke.json) is produced by this half.
 
 #include <benchmark/benchmark.h>
 
@@ -445,7 +445,7 @@ void run_hotpath_report(const bench::BenchOptions& opts) {
 /// a compile-and-run check, not a measurement.
 int main(int argc, char** argv) {
   std::vector<char*> args = {argv[0]};
-  const bench::BenchOptions options = bench::parse_args(argc, argv, &args);
+  const bench::BenchOptions options = bench::parse_args(argc, argv, {}, &args);
   if (options.predecode) {
     // The hot-path report constructs its own cold and warm views; a
     // pre-warmed corpus would burn work without moving any number.

@@ -21,7 +21,7 @@
 /// carries cold/warm latencies, warm QPS, and the derived
 /// `warm_speedup_x` = oneshot mean / warm mean — the ratio the
 /// "cache hits must be ≥10× cheaper than one-shot runs" acceptance
-/// criterion tracks via bench_diff.
+/// criterion tracks via `exp_run diff`.
 ///
 /// Flags beyond the common set (--jobs/--scale/--json): --socket PATH
 /// targets an already-running external daemon (default: an in-process
@@ -37,11 +37,9 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <numeric>
-#include <string_view>
 #include <thread>
 
 #include "bench/common.hpp"
@@ -108,11 +106,12 @@ std::vector<std::string> write_workload(std::size_t count) {
         0x5eed + 97 * i);
     const synth::SynthBinary bin = synth::generate(spec);
     const fs::path path = dir / ("workload_" + std::to_string(i) + ".bin");
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bin.image.data()),
-              static_cast<std::streamsize>(bin.image.size()));
-    if (!out) {
-      std::cerr << "error: cannot write workload file " << path << "\n";
+    std::string error;
+    if (!util::write_text_file(
+            path, {reinterpret_cast<const char*>(bin.image.data()),
+                   bin.image.size()},
+            &error)) {
+      std::cerr << "error: workload: " << error << "\n";
       std::exit(2);
     }
     paths.push_back(path.string());
@@ -151,51 +150,24 @@ service::ServiceClient connect_or_die(const std::string& socket) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<char*> passthrough;
-  bench::BenchOptions opts = bench::parse_args(argc, argv, &passthrough);
-  LoadShape shape = shape_for(opts);
   std::string external_socket;
-  for (std::size_t i = 0; i < passthrough.size(); ++i) {
-    const std::string_view arg = passthrough[i];
-    auto next = [&]() -> std::string_view {
-      if (i + 1 >= passthrough.size()) {
-        std::cerr << "usage: bench_service_throughput [common flags] "
-                     "[--socket PATH] [--clients N] [--requests N] "
-                     "[--open-loop QPS]\n";
-        std::exit(2);
-      }
-      return passthrough[++i];
-    };
-    if (arg == "--socket") {
-      external_socket = next();
-    } else if (arg.rfind("--socket=", 0) == 0) {
-      external_socket = arg.substr(9);
-    } else if (arg == "--clients") {
-      if (!util::parse_jobs(next(), &shape.clients) || shape.clients == 0) {
-        std::exit(2);
-      }
-    } else if (arg == "--requests") {
-      if (!util::parse_jobs(next(), &shape.requests_per_client) ||
-          shape.requests_per_client == 0) {
-        std::exit(2);
-      }
-    } else if (arg == "--open-loop" || arg.rfind("--open-loop=", 0) == 0) {
-      const std::string value(arg == "--open-loop" ? next()
-                                                   : arg.substr(12));
-      try {
-        shape.open_loop_qps = std::stod(value);
-      } catch (...) {
-        shape.open_loop_qps = -1.0;
-      }
-      if (shape.open_loop_qps <= 0.0) {
-        std::cerr << "error: --open-loop wants a positive arrival rate\n";
-        std::exit(2);
-      }
-    } else {
-      std::cerr << "bench_service_throughput: unknown flag " << arg << "\n";
-      return 2;
-    }
-  }
+  // Zero = keep the scale-derived value (the parsers reject zero).
+  std::size_t clients = 0;
+  std::size_t requests = 0;
+  double open_loop_qps = 0.0;
+  namespace cli = util::cli;
+  const bench::BenchOptions opts = bench::parse_args(
+      argc, argv,
+      {cli::text("--socket", &external_socket),
+       cli::count("--clients", &clients, 1),
+       cli::count("--requests", &requests, 1),
+       cli::positive("--open-loop", &open_loop_qps)});
+  LoadShape shape = shape_for(opts);
+  shape.clients = clients != 0 ? clients : shape.clients;
+  shape.requests_per_client =
+      requests != 0 ? requests : shape.requests_per_client;
+  shape.open_loop_qps =
+      open_loop_qps != 0.0 ? open_loop_qps : shape.open_loop_qps;
 
   bench::print_header("Service throughput — resident daemon vs one-shot",
                       "cold/warm query latency and cache-hit QPS "
@@ -463,7 +435,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // One metric per results row (name/value/unit), the shape bench_diff
+  // One metric per results row (name/value/unit), the shape `exp_run diff`
   // matches and the other benches emit.
   util::json::Value doc = bench::json_report("bench_service_throughput", opts);
   util::json::Value* results = &doc.set("results", util::json::Value::array());

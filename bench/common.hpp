@@ -32,7 +32,6 @@
 /// stays byte-comparable across job counts and cache states.
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
@@ -44,6 +43,7 @@
 #include "eval/metrics.hpp"
 #include "eval/runner.hpp"
 #include "eval/table.hpp"
+#include "util/cli.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
@@ -66,58 +66,45 @@ struct BenchOptions {
   }
 };
 
-/// Parses the harness-wide flags. When \p passthrough is non-null,
-/// unrecognized arguments are collected there instead of being a usage
-/// error — bench_micro uses this to forward google-benchmark flags; every
-/// other bench rejects unknowns.
+/// Parses the harness-wide flags plus a bench's own \p extra rows (each
+/// bench's usage line lists only the common set). When \p passthrough is
+/// non-null, unrecognized flags are appended there instead of being a
+/// usage error — bench_micro uses this to forward google-benchmark flags;
+/// every other bench rejects unknowns. Benches take no positionals.
 inline BenchOptions parse_args(int argc, char** argv,
+                               std::vector<util::cli::Option> extra = {},
                                std::vector<char*>* passthrough = nullptr) {
+  namespace cli = util::cli;
   BenchOptions options;
   options.cache_dir = util::default_cache_dir();
-  auto usage = [&]() {
-    std::cerr << "usage: " << argv[0]
-              << " [--smoke] [--scale smoke|default|full] [--jobs N]"
-                 " [--cache-dir DIR] [--json PATH] [--predecode]\n";
+  std::vector<cli::Option> rows = {
+      {"--smoke", false,
+       [&options](std::string_view) {
+         options.scale = synth::Scale::kSmoke;  // alias for --scale smoke
+         return true;
+       },
+       {}},
+      cli::parsed("--scale", &options.scale, synth::parse_scale),
+      cli::count("--jobs", &options.jobs),
+      cli::text("--cache-dir", &options.cache_dir),
+      cli::text("--json", &options.json_path),
+      cli::flag("--predecode", &options.predecode)};
+  for (cli::Option& row : extra) {
+    rows.push_back(std::move(row));
+  }
+  cli::Parser parser(std::string("usage: ") + argv[0] +
+                         " [--smoke] [--scale smoke|default|full] [--jobs N]"
+                         " [--cache-dir DIR] [--json PATH] [--predecode]\n",
+                     std::move(rows), passthrough != nullptr);
+  if (!parser.parse(argc, argv)) {
     std::exit(2);
-  };
-  auto set_scale = [&](std::string_view text) {
-    const auto scale = synth::parse_scale(text);
-    if (!scale) {
-      usage();
-    }
-    options.scale = *scale;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--smoke") {
-      options.scale = synth::Scale::kSmoke;
-    } else if (arg == "--scale" && i + 1 < argc) {
-      set_scale(argv[++i]);
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      set_scale(arg.substr(8));
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      if (!util::parse_jobs(argv[++i], &options.jobs)) {
-        usage();
-      }
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      if (!util::parse_jobs(arg.substr(7), &options.jobs)) {
-        usage();
-      }
-    } else if (arg == "--cache-dir" && i + 1 < argc) {
-      options.cache_dir = argv[++i];
-    } else if (arg.rfind("--cache-dir=", 0) == 0) {
-      options.cache_dir = arg.substr(12);
-    } else if (arg == "--json" && i + 1 < argc) {
-      options.json_path = argv[++i];
-    } else if (arg.rfind("--json=", 0) == 0) {
-      options.json_path = arg.substr(7);
-    } else if (arg == "--predecode") {
-      options.predecode = true;
-    } else if (passthrough != nullptr) {
-      passthrough->push_back(argv[i]);
-    } else {
-      usage();
-    }
+  }
+  if (!parser.positionals().empty()) {
+    std::exit(parser.fail("unexpected argument " + parser.positionals()[0]));
+  }
+  if (passthrough != nullptr) {
+    passthrough->insert(passthrough->end(), parser.passthrough().begin(),
+                        parser.passthrough().end());
   }
   // Validate the cache directory (flag or FETCH_CACHE_DIR) up front, the
   // same way --jobs is validated: fail loudly before any work happens.
@@ -160,12 +147,9 @@ inline void write_json_report(const BenchOptions& opts,
   if (opts.json_path.empty()) {
     return;
   }
-  std::ofstream out(opts.json_path, std::ios::trunc);
-  out << doc.dump() << "\n";
-  out.close();  // flush now so buffered write errors are observable
-  if (out.fail()) {
-    std::cerr << "error: cannot write --json file: " << opts.json_path
-              << "\n";
+  std::string error;
+  if (!util::write_text_file(opts.json_path, doc.dump() + "\n", &error)) {
+    std::cerr << "error: --json: " << error << "\n";
     std::exit(2);
   }
   std::cerr << "json report: " << opts.json_path << "\n";

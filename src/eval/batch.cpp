@@ -10,6 +10,7 @@
 #include "eval/table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/json_schema.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fetch::eval {
@@ -286,6 +287,55 @@ void BatchReport::print(std::ostream& os) const {
       os << "error: " << row.path << ": " << row.error << "\n";
     }
   }
+}
+
+std::optional<GateThresholds> load_gate_thresholds(const std::string& path,
+                                                  const std::string& tier,
+                                                  std::string* error) {
+  const auto parsed = util::json::load_file(path, error);
+  if (!parsed) {
+    return std::nullopt;
+  }
+  const util::json::Value* doc = tier.empty() ? &*parsed : parsed->get(tier);
+  if (doc == nullptr || !doc->is_object()) {
+    *error = tier.empty() ? "thresholds file is not a JSON object: " + path
+                          : "thresholds file has no \"" + tier +
+                                "\" tier block: " + path;
+    return std::nullopt;
+  }
+  GateThresholds out;
+  auto number = [&](const char* key, double fallback) {
+    const util::json::Value* v = doc->get(key);
+    return v == nullptr ? fallback : v->as_double();
+  };
+  out.min_truth_files = static_cast<std::size_t>(
+      number("min_truth_files", static_cast<double>(out.min_truth_files)));
+  out.min_f1 = number("min_f1", out.min_f1);
+  out.min_recall = number("min_recall", out.min_recall);
+  return out;
+}
+
+std::vector<std::string> gate_violations(const BatchReport& report,
+                                         const GateThresholds& thresholds) {
+  const BatchTotals with_truth = report.totals_with_truth();
+  const BatchTotals precise = report.totals_precise();
+  std::vector<std::string> violations;
+  if (with_truth.files < thresholds.min_truth_files) {
+    violations.push_back("only " + std::to_string(with_truth.files) +
+                         " files with usable ground truth (need >= " +
+                         std::to_string(thresholds.min_truth_files) + ")");
+  }
+  if (precise.files != 0 && precise.f1() < thresholds.min_f1) {
+    violations.push_back("precise-truth F1 " + fmt_ratio(precise.f1()) +
+                         " below threshold " +
+                         fmt_ratio(thresholds.min_f1));
+  }
+  if (with_truth.files != 0 && with_truth.recall() < thresholds.min_recall) {
+    violations.push_back("recall " + fmt_ratio(with_truth.recall()) +
+                         " below threshold " +
+                         fmt_ratio(thresholds.min_recall));
+  }
+  return violations;
 }
 
 bool read_path_list(const std::string& list_path,

@@ -4,7 +4,8 @@
 /// Multi-binary evaluation pipeline: score function detection on a fleet
 /// of on-disk ELF files against each file's own symbol-table ground truth
 /// (elf::FunctionTruth). This is the repo's first non-synthetic workload —
-/// `fetch-cli batch` and `realbin_check` are thin front ends over it.
+/// `fetch-cli batch` is a thin front end over it, and its `--gate` mode
+/// enforces the real-binary regression thresholds defined here.
 ///
 /// Files are evaluated concurrently on one util::ThreadPool (one job per
 /// file: load → extract truth → run the detector → match) and reduced
@@ -137,8 +138,8 @@ class BatchReport {
   [[nodiscard]] BatchTotals totals_symtab() const;
   /// Totals over rows whose truth is *complete* — symtab or sidecar
   /// (sidecar truth is full symtab truth captured before stripping), the
-  /// two sources against which precision/F1 are meaningful. The stripped
-  /// realbin_check gate tier thresholds this.
+  /// two sources against which precision/F1 are meaningful. The F1 check
+  /// of the regression gate (gate_violations) thresholds this.
   [[nodiscard]] BatchTotals totals_precise() const;
 
   /// The `fetch-batch-v1` JSON document (see DESIGN.md for the schema).
@@ -158,6 +159,27 @@ class BatchReport {
   std::vector<BatchRow> rows_;
   std::string detector_label_;
 };
+
+/// The real-binary regression gate's floor (tools/realbin_thresholds.json;
+/// see DESIGN.md, "Real-binary regression gate").
+struct GateThresholds {
+  std::size_t min_truth_files = 1;  ///< scored files with usable truth
+  double min_f1 = 0.5;              ///< aggregate F1 over precise-truth rows
+  double min_recall = 0.5;          ///< aggregate recall over truth rows
+};
+
+/// Loads thresholds from the JSON object at \p path — from its nested
+/// block \p tier when non-empty (e.g. "stripped"), else its top level.
+/// Absent keys keep their defaults. nullopt + *error when the file is
+/// unreadable, not an object, or has no such tier block.
+[[nodiscard]] std::optional<GateThresholds> load_gate_thresholds(
+    const std::string& path, const std::string& tier, std::string* error);
+
+/// Applies the gate to \p report: one human-readable message per violated
+/// threshold, empty when the gate passes. The F1 check is skipped when no
+/// row carries precise truth, the recall check when no row has truth.
+[[nodiscard]] std::vector<std::string> gate_violations(
+    const BatchReport& report, const GateThresholds& thresholds);
 
 /// Scores one on-disk ELF. Never throws: any failure (unreadable file,
 /// malformed ELF, detection error) is folded into an error row.

@@ -5,7 +5,7 @@
 /// (eval/batch) and the analysis service (src/service/): load an ELF,
 /// extract symbol-table ground truth, run the detector, score the match,
 /// and keep the full per-function detection output. Extracted from
-/// eval/batch so `fetch-cli batch`, `realbin_check`, and `fetch-cli
+/// eval/batch so `fetch-cli batch` (and its `--gate`) and `fetch-cli
 /// serve` cannot drift apart in what "analyze one binary" means — the
 /// service caches exactly what a one-shot run would have produced.
 

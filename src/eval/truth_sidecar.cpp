@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include "util/fs.hpp"
 
@@ -49,18 +48,8 @@ util::json::Value truth_sidecar_json(const elf::FunctionTruth& truth) {
 bool write_truth_sidecar(const std::string& sidecar_path,
                          const elf::FunctionTruth& truth,
                          std::string* error) {
-  std::ofstream out(sidecar_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    *error = "cannot open " + sidecar_path + " for writing";
-    return false;
-  }
-  out << truth_sidecar_json(truth).dump() << "\n";
-  out.flush();
-  if (!out) {
-    *error = "cannot write " + sidecar_path;
-    return false;
-  }
-  return true;
+  return util::write_text_file(sidecar_path,
+                               truth_sidecar_json(truth).dump() + "\n", error);
 }
 
 std::optional<elf::FunctionTruth> load_truth_sidecar(

@@ -326,6 +326,17 @@ util::json::Value verdict_json(const DiffReport& report,
   return doc;
 }
 
+eval::TextTable verdict_table(const DiffReport& report) {
+  eval::TextTable table({"metric", "baseline", "current", "ratio", "status"});
+  for (const MetricVerdict& v : report.rows) {
+    table.add_row({v.name, v.baseline_text.empty() ? "-" : v.baseline_text,
+                   v.current_text.empty() ? "-" : v.current_text,
+                   v.ratio == 0.0 ? "-" : eval::fmt(v.ratio, 2),
+                   std::string(status_name(v.status))});
+  }
+  return table;
+}
+
 std::string verdict_markdown(const DiffReport& report,
                              const std::string& title) {
   std::string out;

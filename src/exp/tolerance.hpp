@@ -2,7 +2,7 @@
 
 /// \file tolerance.hpp
 /// Per-metric perf-tolerance policies for the fetch-bench-v1 comparators
-/// (`tools/bench_diff`, `tools/exp_run --check`). The old comparator
+/// (`exp_run diff` and `exp_run --check`). The old comparator
 /// applied one flat 3x ratio band to every metric; this engine loads a
 /// checked-in policy file (`bench/baselines/tolerances.json`, schema
 /// "fetch-tol-v1") that says, per metric:
@@ -21,13 +21,14 @@
 /// Metrics without an entry use the file's "default" block. A metric
 /// present in the baseline but absent from the candidate is its own
 /// verdict (kMissing) — a renamed or dropped metric must never read as
-/// "no regression" (distinct exit code in bench_diff).
+/// "no regression" (distinct exit code in `exp_run diff`).
 
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "eval/table.hpp"
 #include "util/json.hpp"
 
 namespace fetch::exp {
@@ -52,8 +53,9 @@ struct MetricPolicy {
 /// fallback policy for unlisted metrics.
 class TolerancePolicy {
  public:
-  /// Legacy flat policy (`bench_diff --tolerance X`): every metric gets
-  /// a symmetric ratio band of \p ratio, nothing is warn-only.
+  /// Flat policy, the comparators' default without a tolerances file:
+  /// every metric gets a symmetric ratio band of \p ratio, nothing is
+  /// warn-only.
   [[nodiscard]] static TolerancePolicy flat(double ratio);
 
   [[nodiscard]] static std::optional<TolerancePolicy> parse(
@@ -128,11 +130,15 @@ struct DiffReport {
                                       const TolerancePolicy& policy);
 
 /// Renders \p report as a fetch-bench-diff-v1 verdict document (the
-/// machine-readable `--json` output of bench_diff / exp_run --check).
+/// machine-readable `--json` output of `exp_run diff` / `--check`).
 [[nodiscard]] util::json::Value verdict_json(const DiffReport& report,
                                              const std::string& baseline_path,
                                              const std::string& current_path,
                                              const std::string& policy_source);
+
+/// Renders \p report as the per-metric console table (metric, baseline,
+/// current, ratio, status) every comparator path prints.
+[[nodiscard]] eval::TextTable verdict_table(const DiffReport& report);
 
 /// Renders \p report as a GitHub-flavored markdown table for
 /// $GITHUB_STEP_SUMMARY (one header line, one row per metric, summary

@@ -1,8 +1,8 @@
 #include "exp/trajectory.hpp"
 
 #include <filesystem>
-#include <fstream>
 
+#include "util/fs.hpp"
 #include "util/json_schema.hpp"
 
 namespace fetch::exp {
@@ -57,14 +57,7 @@ void append_trajectory_entry(Value* doc, Value entry) {
 
 bool write_trajectory(const std::string& path, const Value& doc,
                       std::string* error) {
-  std::ofstream out(path, std::ios::trunc);
-  out << doc.dump() << "\n";
-  out.close();
-  if (out.fail()) {
-    *error = "cannot write trajectory file: " + path;
-    return false;
-  }
-  return true;
+  return util::write_text_file(path, doc.dump() + "\n", error);
 }
 
 }  // namespace fetch::exp

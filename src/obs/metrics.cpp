@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
-#include <fstream>
-
+#include "util/fs.hpp"
 #include "util/json_schema.hpp"
 
 namespace fetch::obs {
@@ -273,14 +272,7 @@ Registry& Registry::global() {
 bool write_global_metrics_json(const std::string& path, std::string* error) {
   Snapshot snapshot;
   Registry::global().collect(&snapshot);
-  std::ofstream out(path, std::ios::trunc);
-  out << snapshot.json().dump() << "\n";
-  out.close();  // flush now so buffered write errors are observable
-  if (out.fail()) {
-    *error = "cannot write metrics file: " + path;
-    return false;
-  }
-  return true;
+  return util::write_text_file(path, snapshot.json().dump() + "\n", error);
 }
 
 }  // namespace fetch::obs

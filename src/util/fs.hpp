@@ -1,12 +1,13 @@
 #pragma once
 
 /// \file fs.hpp
-/// Cache-directory resolution and validation shared by every binary that
+/// File reading and writing shared by every front end, plus
+/// cache-directory resolution and validation shared by every binary that
 /// exposes `--cache-dir` / the FETCH_CACHE_DIR environment variable
-/// (benches and fetch-cli). This is the same pattern as util::parse_jobs:
-/// one shared validator, so the front ends cannot drift apart in what
-/// they accept — and a bad value fails up front with a clear message
-/// instead of mid-run inside the corpus store.
+/// (benches and fetch-cli). This is the same pattern as the util/cli.hpp
+/// value parsers: one shared validator, so the front ends cannot drift
+/// apart in what they accept — and a bad value fails up front with a
+/// clear message instead of mid-run inside the corpus store.
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -20,6 +21,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -116,6 +118,23 @@ inline bool read_file_bytes(const std::string& path,
   in.seekg(0);
   if (size != 0 &&
       !in.read(reinterpret_cast<char*>(out->data()), size)) {
+    return false;
+  }
+  return true;
+}
+
+/// Writes \p text to \p path (truncating), byte for byte — the shared
+/// writer for every report, verdict, pidfile and stripped image the
+/// front ends produce. The stream is closed before the check so buffered
+/// write errors (full disk, unwritable path) are observed, not lost.
+/// Returns false with *error set on failure.
+inline bool write_text_file(const std::string& path, std::string_view text,
+                            std::string* error) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.close();
+  if (out.fail()) {
+    *error = "cannot write " + path;
     return false;
   }
   return true;

@@ -19,31 +19,12 @@
 #include <functional>
 #include <latch>
 #include <mutex>
-#include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace fetch::util {
-
-/// Parses a `--jobs` knob value: a plain non-negative decimal integer
-/// (0 = auto). Rejects signs, blanks, and trailing junk — shared by every
-/// binary exposing the knob so they cannot drift apart.
-inline bool parse_jobs(std::string_view text, std::size_t* jobs) {
-  if (text.empty()) {
-    return false;
-  }
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-  }
-  *jobs = static_cast<std::size_t>(
-      std::strtoul(std::string(text).c_str(), nullptr, 10));
-  return true;
-}
 
 /// Worker count used when a `--jobs` knob is 0/unset: the FETCH_JOBS
 /// environment variable when it parses to a positive integer, otherwise

@@ -1,7 +1,7 @@
 /// \file test_bench_diff.cpp
-/// Drives the real bench_diff binary (path injected by CMake, like
-/// FETCH_CLI_PATH for test_cli) and pins its exit-code contract:
-/// 0 ok/advisory · 1 regression · 2 usage/unreadable input · 3 baseline
+/// Drives the real bench-report comparator, `exp_run diff` (path injected
+/// by CMake, like FETCH_CLI_PATH for test_cli), and pins its exit-code
+/// contract: 0 ok · 1 regression · 2 usage/unreadable input · 3 baseline
 /// metric missing from the candidate — plus the fetch-bench-diff-v1
 /// `--json` verdict document and per-metric tolerance policies loaded
 /// from a config file.
@@ -23,7 +23,7 @@ namespace {
 
 using util::json::Value;
 
-#ifdef BENCH_DIFF_PATH
+#ifdef EXP_RUN_PATH
 
 struct CommandResult {
   int status = -1;
@@ -33,7 +33,7 @@ struct CommandResult {
 CommandResult run_diff(const std::string& args) {
   CommandResult result;
   const std::string command =
-      std::string(BENCH_DIFF_PATH) + " " + args + " 2>/dev/null";
+      std::string(EXP_RUN_PATH) + " diff " + args + " 2>/dev/null";
   FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) {
     return result;
@@ -87,40 +87,41 @@ Value slurp_json(const std::string& path) {
 TEST(BenchDiff, IdenticalReportsPass) {
   const std::string base = write_report("bd_same_a.json", {{"m", 10.0}});
   const std::string cur = write_report("bd_same_b.json", {{"m", 10.0}});
-  const CommandResult r = run_diff("--strict " + base + " " + cur);
+  const CommandResult r = run_diff(base + " " + cur);
   EXPECT_EQ(r.status, 0) << r.stdout_text;
 }
 
-TEST(BenchDiff, RegressionExitsOneUnderStrict) {
+TEST(BenchDiff, RegressionExitsOne) {
   const std::string base = write_report("bd_reg_a.json", {{"m", 10.0}});
   const std::string cur = write_report("bd_reg_b.json", {{"m", 100.0}});
-  EXPECT_EQ(run_diff("--strict " + base + " " + cur).status, 1);
-  // Advisory mode: same comparison, exit 0.
-  const CommandResult advisory = run_diff(base + " " + cur);
-  EXPECT_EQ(advisory.status, 0);
-  EXPECT_NE(advisory.stdout_text.find("advisory"), std::string::npos);
+  EXPECT_EQ(run_diff(base + " " + cur).status, 1);
+  // Without a tolerances file the band is the built-in flat 3x.
+  const std::string inside = write_report("bd_reg_c.json", {{"m", 25.0}});
+  EXPECT_EQ(run_diff(base + " " + inside).status, 0);
 }
 
-TEST(BenchDiff, MissingMetricExitsThreeUnderStrict) {
+TEST(BenchDiff, MissingMetricExitsThree) {
   const std::string base =
       write_report("bd_miss_a.json", {{"kept", 10.0}, {"dropped", 5.0}});
   const std::string cur = write_report("bd_miss_b.json", {{"kept", 10.0}});
-  EXPECT_EQ(run_diff("--strict " + base + " " + cur).status, 3);
+  EXPECT_EQ(run_diff(base + " " + cur).status, 3);
 }
 
 TEST(BenchDiff, RegressionOutranksMissing) {
   const std::string base =
       write_report("bd_both_a.json", {{"kept", 10.0}, {"dropped", 5.0}});
   const std::string cur = write_report("bd_both_b.json", {{"kept", 100.0}});
-  EXPECT_EQ(run_diff("--strict " + base + " " + cur).status, 1);
+  EXPECT_EQ(run_diff(base + " " + cur).status, 1);
 }
 
 TEST(BenchDiff, UnreadableInputExitsTwo) {
   const std::string base = write_report("bd_io_a.json", {{"m", 10.0}});
   const std::string junk = write_text("bd_io_junk.json", "not json at all");
-  EXPECT_EQ(run_diff("--strict " + base + " /does/not/exist.json").status, 2);
-  EXPECT_EQ(run_diff("--strict " + base + " " + junk).status, 2);
-  EXPECT_EQ(run_diff("--strict " + base).status, 2);  // usage
+  EXPECT_EQ(run_diff(base + " /does/not/exist.json").status, 2);
+  EXPECT_EQ(run_diff(base + " " + junk).status, 2);
+  EXPECT_EQ(run_diff(base).status, 2);  // usage
+  EXPECT_EQ(run_diff("--strict " + base + " " + base).status, 2);
+  EXPECT_EQ(run_diff("--check " + base + " " + base).status, 2);  // run-only
 }
 
 TEST(BenchDiff, JsonVerdictIsMachineReadable) {
@@ -130,7 +131,7 @@ TEST(BenchDiff, JsonVerdictIsMachineReadable) {
       write_report("bd_json_b.json", {{"fast", 99.0}, {"extra", 2.0}});
   const std::string verdict_path = ::testing::TempDir() + "/bd_verdict.json";
   const CommandResult r =
-      run_diff("--strict --json " + verdict_path + " " + base + " " + cur);
+      run_diff("--json " + verdict_path + " " + base + " " + cur);
   EXPECT_EQ(r.status, 1);
 
   const Value verdict = slurp_json(verdict_path);
@@ -154,7 +155,7 @@ TEST(BenchDiff, MarkdownSummaryIsWritten) {
   const std::string base = write_report("bd_md_a.json", {{"m", 10.0}});
   const std::string cur = write_report("bd_md_b.json", {{"m", 100.0}});
   const std::string md_path = ::testing::TempDir() + "/bd_summary.md";
-  run_diff("--strict --markdown " + md_path + " " + base + " " + cur);
+  run_diff("--markdown " + md_path + " " + base + " " + cur);
   std::ifstream in(md_path);
   std::stringstream buffer;
   buffer << in.rdbuf();
@@ -175,14 +176,14 @@ TEST(BenchDiff, TolerancesConfigDrivesTheVerdict) {
       write_report("bd_tol_a.json", {{"qps", 100.0}, {"p99", 5.0}});
   const std::string cur_up =
       write_report("bd_tol_b.json", {{"qps", 200.0}, {"p99", 5.0}});
-  EXPECT_EQ(run_diff("--strict --tolerances " + tolerances + " " + base_up +
+  EXPECT_EQ(run_diff("--tolerances " + tolerances + " " + base_up +
                      " " + cur_up)
                 .status,
             0);
   // qps dropped below the band: regression.
   const std::string cur_down =
       write_report("bd_tol_c.json", {{"qps", 40.0}, {"p99", 5.0}});
-  EXPECT_EQ(run_diff("--strict --tolerances " + tolerances + " " + base_up +
+  EXPECT_EQ(run_diff("--tolerances " + tolerances + " " + base_up +
                      " " + cur_down)
                 .status,
             1);
@@ -191,33 +192,25 @@ TEST(BenchDiff, TolerancesConfigDrivesTheVerdict) {
       write_report("bd_tol_d.json", {{"qps", 100.0}, {"p99", 500.0}});
   const std::string verdict_path = ::testing::TempDir() + "/bd_tol_v.json";
   const CommandResult r =
-      run_diff("--strict --tolerances " + tolerances + " --json " +
+      run_diff("--tolerances " + tolerances + " --json " +
                verdict_path + " " + base_up + " " + cur_noisy);
   EXPECT_EQ(r.status, 0) << r.stdout_text;
   const Value verdict = slurp_json(verdict_path);
   EXPECT_EQ(verdict.get("rows")->items()[1].get("status")->text(), "warn");
   // An unreadable tolerances file is an infrastructure error, not a pass.
-  EXPECT_EQ(run_diff("--strict --tolerances /does/not/exist.json " +
+  EXPECT_EQ(run_diff("--tolerances /does/not/exist.json " +
                      base_up + " " + cur_up)
                 .status,
             2);
 }
 
-TEST(BenchDiff, LegacyFlatToleranceStillWorks) {
-  const std::string base = write_report("bd_flat_a.json", {{"m", 10.0}});
-  const std::string cur = write_report("bd_flat_b.json", {{"m", 25.0}});
-  EXPECT_EQ(run_diff("--strict " + base + " " + cur).status, 0);  // < 3x
-  EXPECT_EQ(run_diff("--strict --tolerance 2.0 " + base + " " + cur).status,
-            1);
-}
-
 #else
 
 TEST(BenchDiff, Skipped) {
-  GTEST_SKIP() << "BENCH_DIFF_PATH not provided by the build";
+  GTEST_SKIP() << "EXP_RUN_PATH not provided by the build";
 }
 
-#endif  // BENCH_DIFF_PATH
+#endif  // EXP_RUN_PATH
 
 }  // namespace
 }  // namespace fetch

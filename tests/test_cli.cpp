@@ -399,6 +399,115 @@ TEST(Cli, BatchTruthModesOnStrippedFixture) {
   EXPECT_NE(dynsym.output.find("with truth: 0"), std::string::npos);
 }
 
+TEST(Cli, FlagScopeIsCheckedOnPresence) {
+  if (!cli_available()) {
+    GTEST_SKIP() << "fetch-cli not built";
+  }
+  // A client-only flag set to its default value, and a service flag set
+  // to the empty string, are still out of scope on `detect`.
+  const std::string good = write_sample_binary();
+  EXPECT_EQ(run_cli("--retries 0 detect " + good).status, 2);
+  EXPECT_EQ(run_cli("--retries 1 detect " + good).status, 2);
+  EXPECT_EQ(run_cli("--socket \"\" detect " + good).status, 2);
+  EXPECT_EQ(run_cli("--socket= detect " + good).status, 2);
+  EXPECT_EQ(run_cli("--jobs=1 detect " + good).status, 0);
+  // Malformed numbers are usage errors, never wrapped or saturated.
+  EXPECT_EQ(run_cli("serve --cache-capacity 99999999999999999999").status, 2);
+  EXPECT_EQ(run_cli("--jobs=-1 detect " + good).status, 2);
+}
+
+#ifdef FETCH_FIXTURE_DIR
+
+/// The three real-toolchain fixture executables, space-separated.
+std::string fixture_paths() {
+  const std::string dir = FETCH_FIXTURE_DIR;
+  return dir + "/fixture_math " + dir + "/fixture_strings " + dir +
+         "/fixture_branches";
+}
+
+TEST(Cli, BatchGatePassesOnTheFixtures) {
+  if (!cli_available()) {
+    GTEST_SKIP() << "fetch-cli not built";
+  }
+  // The "stripped" block's 3-file floor is exactly the fixture fleet.
+  const CommandResult r =
+      run_cli("batch --gate " + std::string(FETCH_THRESHOLDS_PATH) +
+              " --tier stripped " + fixture_paths());
+  EXPECT_EQ(r.status, 0) << r.output;
+  EXPECT_NE(r.output.find("gate: PASS"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("GATE:"), std::string::npos) << r.output;
+}
+
+TEST(Cli, BatchGateFailsWithOneLinePerViolation) {
+  if (!cli_available()) {
+    GTEST_SKIP() << "fetch-cli not built";
+  }
+  const std::string thresholds =
+      ::testing::TempDir() + "/fetch_cli_gate_strict.json";
+  {
+    std::ofstream out(thresholds, std::ios::trunc);
+    out << R"({"min_truth_files": 99, "min_f1": 0.999, "min_recall": 0.999})";
+  }
+  const std::string json = ::testing::TempDir() + "/fetch_cli_gate.json";
+  const CommandResult r = run_cli("batch --gate " + thresholds + " --json " +
+                                  json + " " + fixture_paths());
+  EXPECT_EQ(r.status, 1) << r.output;
+  EXPECT_NE(r.output.find("GATE: only 3 files with usable ground truth"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("GATE: precise-truth F1"), std::string::npos);
+  EXPECT_NE(r.output.find("GATE: recall"), std::string::npos);
+  EXPECT_NE(r.output.find("gate: FAIL"), std::string::npos);
+  // The report is still written: CI archives it on a failing gate too.
+  EXPECT_NE(slurp(json).find("\"fetch-batch-v1\""), std::string::npos);
+}
+
+TEST(Cli, BatchGateUsageErrors) {
+  if (!cli_available()) {
+    GTEST_SKIP() << "fetch-cli not built";
+  }
+  const std::string thresholds = FETCH_THRESHOLDS_PATH;
+  EXPECT_EQ(run_cli("batch --tier stripped " + fixture_paths()).status, 2);
+  EXPECT_EQ(run_cli("batch --gate " + thresholds + " --tier no-such-tier " +
+                    fixture_paths())
+                .status,
+            2);
+  EXPECT_EQ(run_cli("batch --gate /does/not/exist.json " + fixture_paths())
+                .status,
+            2);
+  EXPECT_EQ(run_cli("detect --gate " + thresholds + " " + write_sample_binary())
+                .status,
+            2);
+}
+
+TEST(Cli, BatchFromFileSkipsMissingEntries) {
+  if (!cli_available()) {
+    GTEST_SKIP() << "fetch-cli not built";
+  }
+  // A pinned list names files that may not exist on every machine: the
+  // missing entry is noted on stderr and does not fail the gate.
+  const std::string dir = FETCH_FIXTURE_DIR;
+  const std::string list = ::testing::TempDir() + "/fetch_cli_gate_list.txt";
+  {
+    std::ofstream out(list, std::ios::trunc);
+    out << dir << "/fixture_math\n/nonexistent/fetch-missing-entry\n"
+        << dir << "/fixture_strings\n" << dir << "/fixture_branches\n";
+  }
+  const CommandResult r =
+      run_cli("batch --from-file " + list + " --gate " +
+              std::string(FETCH_THRESHOLDS_PATH) + " --tier stripped");
+  EXPECT_EQ(r.status, 0) << r.output;
+  EXPECT_NE(r.output.find("note: skipping missing list entry: "
+                          "/nonexistent/fetch-missing-entry"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("files: 3  errors: 0"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("gate: PASS"), std::string::npos) << r.output;
+}
+
+#endif  // FETCH_FIXTURE_DIR
+
 TEST(Cli, BadUsageAndBadFile) {
   if (!cli_available()) {
     GTEST_SKIP() << "fetch-cli not built";

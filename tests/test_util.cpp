@@ -276,22 +276,6 @@ TEST(ThreadPool, ParallelMapMatchesSerial) {
   }
 }
 
-TEST(ThreadPool, ParseJobsAcceptsOnlyPlainNonNegativeIntegers) {
-  std::size_t jobs = 99;
-  EXPECT_TRUE(util::parse_jobs("4", &jobs));
-  EXPECT_EQ(jobs, 4u);
-  EXPECT_TRUE(util::parse_jobs("0", &jobs));
-  EXPECT_EQ(jobs, 0u);
-  jobs = 99;
-  EXPECT_FALSE(util::parse_jobs("-1", &jobs));
-  EXPECT_FALSE(util::parse_jobs("+1", &jobs));
-  EXPECT_FALSE(util::parse_jobs("", &jobs));
-  EXPECT_FALSE(util::parse_jobs("4x", &jobs));
-  EXPECT_FALSE(util::parse_jobs(" 4", &jobs));
-  EXPECT_FALSE(util::parse_jobs("banana", &jobs));
-  EXPECT_EQ(jobs, 99u);  // rejected inputs leave the output untouched
-}
-
 TEST(ThreadPool, DefaultJobsHonorsEnvVariable) {
   ::setenv("FETCH_JOBS", "3", 1);
   EXPECT_EQ(util::default_jobs(), 3u);

@@ -11,6 +11,8 @@
 ///           [--trajectory FILE] [--commit ID]
 ///           [--baselines-dir DIR] [--tolerances FILE] [--check]
 ///           [--update-baselines] [--json PATH] [--markdown PATH]
+///   exp_run diff [--tolerances FILE] [--json PATH] [--markdown PATH]
+///           BASELINE CURRENT
 ///
 ///   --list              print the expansion (id + argv per cell) and the
 ///                       spec hash, run nothing, exit 0. This output is
@@ -28,24 +30,34 @@
 ///                       named baseline file from this run's report and
 ///                       print the old → new diff for review (mutually
 ///                       exclusive with --check).
+///   --tolerances FILE   per-metric policy config (fetch-tol-v1); without
+///                       it every metric gets a flat 3x band.
+///   --json PATH         machine-readable verdict (fetch-exp-verdict-v1;
+///                       fetch-bench-diff-v1 for `diff`)
+///   --markdown PATH     GitHub step-summary tables
 ///
-/// Exit codes: 0 ok · 1 gate regression · 2 usage/spec/bench failure ·
-/// 3 baseline metric missing from a candidate (and nothing regressed).
-/// The distinction keeps "someone renamed a metric" from hiding inside
-/// "perf is fine" — CI fails either way, but the triage differs.
+/// `diff` is the single-pair gate: it judges one fetch-bench-v1 report
+/// against a baseline report under the same tolerance policy, strictly
+/// (every blocking regression fails), which is how CI gates the bench
+/// reports it produces outside the matrix.
+///
+/// Exit codes: 0 ok · 1 gate regression · 2 usage/spec/bench failure or
+/// unreadable input · 3 baseline metric missing from a candidate (and
+/// nothing regressed). The distinction keeps "someone renamed a metric"
+/// from hiding inside "perf is fine" — CI fails either way, but the
+/// triage differs.
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "eval/table.hpp"
 #include "exp/spec.hpp"
 #include "exp/tolerance.hpp"
 #include "exp/trajectory.hpp"
+#include "util/cli.hpp"
+#include "util/fs.hpp"
 #include "util/json.hpp"
 #include "util/json_schema.hpp"
 
@@ -53,6 +65,7 @@ namespace {
 
 using namespace fetch;
 using util::json::Value;
+namespace cli = util::cli;
 
 struct Options {
   std::string spec_path;
@@ -69,15 +82,15 @@ struct Options {
   bool update_baselines = false;
 };
 
-int usage() {
-  std::cerr
-      << "usage: exp_run --spec FILE [--bin-dir DIR] [--out-dir DIR]\n"
-         "               [--list] [--trajectory FILE] [--commit ID]\n"
-         "               [--baselines-dir DIR] [--tolerances FILE]\n"
-         "               [--check] [--update-baselines]\n"
-         "               [--json PATH] [--markdown PATH]\n";
-  return 2;
-}
+constexpr const char* kUsage =
+    "usage: exp_run --spec FILE [--bin-dir DIR] [--out-dir DIR]\n"
+    "               [--list] [--trajectory FILE] [--commit ID]\n"
+    "               [--baselines-dir DIR] [--tolerances FILE]\n"
+    "               [--check] [--update-baselines]\n"
+    "               [--json PATH] [--markdown PATH]\n"
+    "       exp_run diff [--tolerances FILE] [--json PATH] "
+    "[--markdown PATH]\n"
+    "               BASELINE.json CURRENT.json\n";
 
 /// POSIX-shell single quoting: safe to splice into a system() command.
 std::string shell_quote(const std::string& s) {
@@ -93,63 +106,105 @@ std::string shell_quote(const std::string& s) {
   return out;
 }
 
-bool write_text_file(const std::string& path, const std::string& text,
-                     std::string* error) {
-  std::ofstream out(path, std::ios::trunc);
-  out << text;
-  out.close();
-  if (out.fail()) {
-    *error = "cannot write " + path;
+/// Loads a fetch-bench-v1 report: schema tag plus a results array.
+bool load_report(const std::string& path, Value* out, std::string* error) {
+  auto doc = util::json::load_file(path, error);
+  if (!doc || !util::json::expect_schema(*doc, "fetch-bench-v1", error,
+                                         path)) {
+    return false;
+  }
+  if (const Value* results = doc->get("results");
+      results == nullptr || !results->is_array()) {
+    *error = "report has no results array: " + path;
+    return false;
+  }
+  *out = std::move(*doc);
+  return true;
+}
+
+/// The tolerance policy: --tolerances FILE, else the flat 3x default.
+bool load_policy(const Options& opt, exp::TolerancePolicy* policy,
+                 std::string* source, std::string* error) {
+  if (opt.tolerances_path.empty()) {
+    *policy = exp::TolerancePolicy::flat(3.0);
+    *source = "built-in flat 3x";
+    return true;
+  }
+  auto loaded = exp::TolerancePolicy::load(opt.tolerances_path, error);
+  if (!loaded) {
+    return false;
+  }
+  *policy = std::move(*loaded);
+  *source = opt.tolerances_path;
+  return true;
+}
+
+/// Writes the --json verdict and the --markdown summary when requested.
+bool write_verdicts(const Options& opt, const Value& json,
+                    const std::string& markdown) {
+  std::string error;
+  if ((!opt.json_path.empty() &&
+       !util::write_text_file(opt.json_path, json.dump() + "\n", &error)) ||
+      (!opt.markdown_path.empty() &&
+       !util::write_text_file(opt.markdown_path, markdown, &error))) {
+    std::cerr << "error: " << error << "\n";
     return false;
   }
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    auto take = [&](std::string* out) {
-      if (i + 1 >= argc) {
-        return false;
-      }
-      *out = argv[++i];
-      return true;
-    };
-    if (arg == "--spec") {
-      if (!take(&opt.spec_path)) return usage();
-    } else if (arg == "--bin-dir") {
-      if (!take(&opt.bin_dir)) return usage();
-    } else if (arg == "--out-dir") {
-      if (!take(&opt.out_dir)) return usage();
-    } else if (arg == "--trajectory") {
-      if (!take(&opt.trajectory_path)) return usage();
-    } else if (arg == "--commit") {
-      if (!take(&opt.commit)) return usage();
-    } else if (arg == "--baselines-dir") {
-      if (!take(&opt.baselines_dir)) return usage();
-    } else if (arg == "--tolerances") {
-      if (!take(&opt.tolerances_path)) return usage();
-    } else if (arg == "--json") {
-      if (!take(&opt.json_path)) return usage();
-    } else if (arg == "--markdown") {
-      if (!take(&opt.markdown_path)) return usage();
-    } else if (arg == "--list") {
-      opt.list = true;
-    } else if (arg == "--check") {
-      opt.check = true;
-    } else if (arg == "--update-baselines") {
-      opt.update_baselines = true;
-    } else {
-      return usage();
-    }
+/// Prints the gate's one-line verdict and returns its exit code.
+int gate_exit(bool regressed, bool missing) {
+  if (regressed) {
+    std::cout << "gate: REGRESSED — see the per-metric table(s) above; if "
+                 "the movement is intended, refresh with exp_run "
+                 "--update-baselines and commit the reviewed diff\n";
+    return 1;
   }
-  if (opt.spec_path.empty() || (opt.check && opt.update_baselines)) {
-    return usage();
+  if (missing) {
+    std::cout << "gate: baseline metric(s) missing from a candidate report "
+                 "— a metric was renamed or dropped without a baseline "
+                 "update\n";
+    return 3;
+  }
+  std::cout << "gate: ok\n";
+  return 0;
+}
+
+/// `exp_run diff BASELINE CURRENT`: one report pair under the policy.
+int cmd_diff(const Options& opt, const std::string& baseline_path,
+             const std::string& current_path) {
+  std::string error;
+  exp::TolerancePolicy policy;
+  std::string policy_source;
+  Value baseline;
+  Value current;
+  if (!load_policy(opt, &policy, &policy_source, &error) ||
+      !load_report(baseline_path, &baseline, &error) ||
+      !load_report(current_path, &current, &error)) {
+    std::cerr << "error: " << error << "\n";
+    return 2;
   }
 
+  const exp::DiffReport report = exp::diff_reports(baseline, current, policy);
+  exp::verdict_table(report).print(std::cout);
+  std::cout << "\npolicy: " << policy_source << " — " << report.compared
+            << " compared, " << report.regressed << " regressed, "
+            << report.warned << " warned, " << report.missing
+            << " missing, " << report.added << " new\n";
+
+  if (!write_verdicts(opt,
+                      exp::verdict_json(report, baseline_path, current_path,
+                                        policy_source),
+                      exp::verdict_markdown(report, "diff " + baseline_path +
+                                                        " vs " +
+                                                        current_path))) {
+    return 2;
+  }
+  return gate_exit(report.gate_failed(), report.any_missing());
+}
+
+int cmd_run(const Options& opt) {
   std::string error;
   auto spec = exp::ExpSpec::load(opt.spec_path, &error);
   if (!spec) {
@@ -167,17 +222,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Tolerance policy: explicit file, else the engine default (flat 3x).
-  exp::TolerancePolicy policy = exp::TolerancePolicy::flat(3.0);
-  std::string policy_source = "built-in flat 3x";
-  if (!opt.tolerances_path.empty()) {
-    auto loaded = exp::TolerancePolicy::load(opt.tolerances_path, &error);
-    if (!loaded) {
-      std::cerr << "error: " << error << "\n";
-      return 2;
-    }
-    policy = std::move(*loaded);
-    policy_source = opt.tolerances_path;
+  exp::TolerancePolicy policy;
+  std::string policy_source;
+  if (!load_policy(opt, &policy, &policy_source, &error)) {
+    std::cerr << "error: " << error << "\n";
+    return 2;
   }
 
   std::error_code ec;
@@ -199,7 +248,8 @@ int main(int argc, char** argv) {
     const std::string log_path = opt.out_dir + "/" + inv.id + ".log";
     std::string command = shell_quote(opt.bin_dir + "/" + inv.bench);
     for (const std::string& arg : inv.bench_args()) {
-      command += " " + shell_quote(arg);
+      command += " ";
+      command += shell_quote(arg);
     }
     if (inv.cache) {
       command += " --cache-dir " + shell_quote(cache_dir);
@@ -213,14 +263,12 @@ int main(int argc, char** argv) {
                 << ")\n";
       return 2;
     }
-    auto report = util::json::load_file(json_path, &error);
-    if (!report ||
-        !util::json::expect_schema(*report, "fetch-bench-v1", &error,
-                                   json_path)) {
+    Value report;
+    if (!load_report(json_path, &report, &error)) {
       std::cerr << "error: " << error << "\n";
       return 2;
     }
-    reports.push_back(std::move(*report));
+    reports.push_back(std::move(report));
   }
 
   // --- Trajectory append ---------------------------------------------------
@@ -286,17 +334,9 @@ int main(int argc, char** argv) {
           exp::diff_reports(old_doc, reports[i], policy);
       std::cout << "=== baseline update: " << inv.baseline << " (from "
                 << inv.id << ") ===\n";
-      eval::TextTable table({"metric", "old", "new", "ratio", "status"});
-      for (const exp::MetricVerdict& v : diff.rows) {
-        table.add_row({v.name,
-                       v.baseline_text.empty() ? "-" : v.baseline_text,
-                       v.current_text.empty() ? "-" : v.current_text,
-                       v.ratio == 0.0 ? "-" : eval::fmt(v.ratio, 2),
-                       std::string(exp::status_name(v.status))});
-      }
-      table.print(std::cout);
+      exp::verdict_table(diff).print(std::cout);
       std::cout << "\n";
-      if (!write_text_file(path, reports[i].dump() + "\n", &error)) {
+      if (!util::write_text_file(path, reports[i].dump() + "\n", &error)) {
         std::cerr << "error: " << error << "\n";
         return 2;
       }
@@ -326,30 +366,19 @@ int main(int argc, char** argv) {
         continue;
       }
       const std::string path = opt.baselines_dir + "/" + inv.baseline;
-      auto baseline = util::json::load_file(path, &error);
-      if (!baseline ||
-          !util::json::expect_schema(*baseline, "fetch-bench-v1", &error,
-                                     path)) {
+      Value baseline;
+      if (!load_report(path, &baseline, &error)) {
         std::cerr << "error: " << error << "\n";
         return 2;
       }
       const exp::DiffReport diff =
-          exp::diff_reports(*baseline, reports[i], policy);
+          exp::diff_reports(baseline, reports[i], policy);
       any_regressed = any_regressed || diff.gate_failed();
       any_missing = any_missing || diff.any_missing();
 
       std::cout << "=== gate " << inv.id << " vs " << inv.baseline << ": "
                 << diff.verdict() << " ===\n";
-      eval::TextTable table({"metric", "baseline", "current", "ratio",
-                             "status"});
-      for (const exp::MetricVerdict& v : diff.rows) {
-        table.add_row({v.name,
-                       v.baseline_text.empty() ? "-" : v.baseline_text,
-                       v.current_text.empty() ? "-" : v.current_text,
-                       v.ratio == 0.0 ? "-" : eval::fmt(v.ratio, 2),
-                       std::string(exp::status_name(v.status))});
-      }
-      table.print(std::cout);
+      exp::verdict_table(diff).print(std::cout);
       std::cout << "\n";
 
       Value rv = exp::verdict_json(diff, path, opt.out_dir + "/" + inv.id +
@@ -367,36 +396,48 @@ int main(int argc, char** argv) {
                Value(any_regressed
                          ? "regressed"
                          : (any_missing ? "missing-metrics" : "ok")));
-  if (!opt.json_path.empty()) {
-    if (!write_text_file(opt.json_path, verdicts.dump() + "\n", &error)) {
-      std::cerr << "error: " << error << "\n";
-      return 2;
-    }
+  if (markdown.empty()) {
+    markdown = "### experiment spec " + spec->name() + " — no gated runs\n";
   }
-  if (!opt.markdown_path.empty()) {
-    if (markdown.empty()) {
-      markdown = "### experiment spec " + spec->name() +
-                 " — no gated runs\n";
-    }
-    if (!write_text_file(opt.markdown_path, markdown, &error)) {
-      std::cerr << "error: " << error << "\n";
-      return 2;
-    }
+  if (!write_verdicts(opt, verdicts, markdown)) {
+    return 2;
   }
-  if (opt.check) {
-    if (any_regressed) {
-      std::cout << "gate: REGRESSED — see the per-metric tables above; if "
-                   "the movement is intended, refresh with exp_run "
-                   "--update-baselines and commit the reviewed diff\n";
-      return 1;
-    }
-    if (any_missing) {
-      std::cout << "gate: baseline metrics missing from a candidate report "
-                   "— a metric was renamed or dropped without a baseline "
-                   "update\n";
-      return 3;
-    }
-    std::cout << "gate: ok\n";
+  return opt.check ? gate_exit(any_regressed, any_missing) : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opt;
+  const cli::Scope run{"run"};
+  cli::Parser parser(
+      kUsage,
+      {cli::text("--spec", &opt.spec_path, run),
+       cli::text("--bin-dir", &opt.bin_dir, run),
+       cli::text("--out-dir", &opt.out_dir, run),
+       cli::text("--trajectory", &opt.trajectory_path, run),
+       cli::text("--commit", &opt.commit, run),
+       cli::text("--baselines-dir", &opt.baselines_dir, run),
+       cli::flag("--list", &opt.list, run),
+       cli::flag("--check", &opt.check, run),
+       cli::flag("--update-baselines", &opt.update_baselines, run),
+       cli::text("--tolerances", &opt.tolerances_path),
+       cli::text("--json", &opt.json_path),
+       cli::text("--markdown", &opt.markdown_path)});
+  if (!parser.parse(argc, argv)) {
+    return 2;
   }
-  return 0;
+  const std::vector<std::string>& args = parser.positionals();
+  const bool diff = !args.empty() && args[0] == "diff";
+  if (!parser.check_scope(diff ? "diff" : "run")) {
+    return 2;
+  }
+  if (diff) {
+    return args.size() == 3 ? cmd_diff(opt, args[1], args[2]) : parser.fail();
+  }
+  if (!args.empty() || opt.spec_path.empty() ||
+      (opt.check && opt.update_baselines)) {
+    return parser.fail();
+  }
+  return cmd_run(opt);
 }

@@ -73,6 +73,7 @@
 #include "service/server.hpp"
 #include "synth/codegen.hpp"
 #include "synth/corpus.hpp"
+#include "util/cli.hpp"
 #include "util/framing.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
@@ -88,14 +89,12 @@ struct HostileInput {
   bool elf_shaped = false;  ///< carries the ELF64 magic (see below)
 };
 
-int usage() {
-  std::cerr << "usage: hostile_check [--corpus DIR] [--socket PATH]\n"
-               "                     [--json PATH] [--metrics-json PATH]\n"
-               "                     [--max-rss-mb N] [--skip-service]\n"
-               "                     [--clients N]\n"
-               "       (at least one of --corpus / --clients)\n";
-  return 2;
-}
+constexpr const char* kUsage =
+    "usage: hostile_check [--corpus DIR] [--socket PATH]\n"
+    "                     [--json PATH] [--metrics-json PATH]\n"
+    "                     [--max-rss-mb N] [--skip-service]\n"
+    "                     [--clients N]\n"
+    "       (at least one of --corpus / --clients)\n";
 
 /// Whether the pipeline is allowed to report success for these bytes:
 /// anything that does not even start with the ELF64 magic must come back
@@ -652,39 +651,20 @@ int main(int argc, char** argv) {
   std::size_t max_rss_mb = 2048;
   bool skip_service = false;
   std::size_t clients = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--corpus" && i + 1 < argc) {
-      corpus_dir = argv[++i];
-    } else if (arg.rfind("--corpus=", 0) == 0) {
-      corpus_dir = arg.substr(9);
-    } else if (arg == "--socket" && i + 1 < argc) {
-      socket_path = argv[++i];
-    } else if (arg.rfind("--socket=", 0) == 0) {
-      socket_path = arg.substr(9);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg == "--metrics-json" && i + 1 < argc) {
-      metrics_json_path = argv[++i];
-    } else if (arg.rfind("--metrics-json=", 0) == 0) {
-      metrics_json_path = arg.substr(15);
-    } else if (arg == "--max-rss-mb" && i + 1 < argc) {
-      max_rss_mb = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--skip-service") {
-      skip_service = true;
-    } else if (arg == "--clients" && i + 1 < argc) {
-      clients = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg.rfind("--clients=", 0) == 0) {
-      clients = static_cast<std::size_t>(
-          std::stoul(std::string(arg.substr(10))));
-    } else {
-      return usage();
-    }
+  namespace cli = util::cli;
+  cli::Parser parser(kUsage,
+                     {cli::text("--corpus", &corpus_dir),
+                      cli::text("--socket", &socket_path),
+                      cli::text("--json", &json_path),
+                      cli::text("--metrics-json", &metrics_json_path),
+                      cli::count("--max-rss-mb", &max_rss_mb, 1),
+                      cli::flag("--skip-service", &skip_service),
+                      cli::count("--clients", &clients)});
+  if (!parser.parse(argc, argv)) {
+    return 2;
   }
-  if (corpus_dir.empty() && clients == 0) {
-    return usage();
+  if (!parser.positionals().empty() || (corpus_dir.empty() && clients == 0)) {
+    return parser.fail();
   }
   if (socket_path.empty()) {
     socket_path =
@@ -894,11 +874,9 @@ int main(int argc, char** argv) {
     doc.set("violations", std::move(list));
     doc.set("verdict",
             util::json::Value(violations.empty() ? "PASS" : "FAIL"));
-    std::ofstream out(json_path, std::ios::trunc);
-    out << doc.dump() << "\n";
-    out.close();
-    if (out.fail()) {
-      std::cerr << "error: cannot write --json file: " << json_path << "\n";
+    std::string error;
+    if (!util::write_text_file(json_path, doc.dump() + "\n", &error)) {
+      std::cerr << "error: --json: " << error << "\n";
       return 2;
     }
     std::cerr << "json report: " << json_path << "\n";

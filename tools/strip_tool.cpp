@@ -3,8 +3,7 @@
 /// (drop .symtab/.strtab, optionally .dynsym/.dynstr) and captures the
 /// binary's *pre-strip* symbol-table ground truth into a fetch-truth-v1
 /// sidecar (`<output>.truth.json`) so the stripped copy can still be
-/// scored with meaningful precision (`--truth sidecar` in fetch-cli
-/// batch / realbin_check).
+/// scored with meaningful precision (`fetch-cli batch --truth sidecar`).
 ///
 ///   strip_tool [--drop-dynsym] [--truth-out PATH | --no-truth]
 ///              -o OUTPUT INPUT
@@ -14,7 +13,6 @@
 /// addresses), so detection results on the stripped copy differ from the
 /// original only through the missing symbol tables.
 
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -22,6 +20,7 @@
 #include "elf/elf_file.hpp"
 #include "elf/strip.hpp"
 #include "eval/truth_sidecar.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 
@@ -29,61 +28,31 @@ namespace {
 
 using namespace fetch;
 
-int usage() {
-  std::cerr << "usage: strip_tool [--drop-dynsym] [--truth-out PATH | "
-               "--no-truth]\n"
-               "                  -o OUTPUT INPUT\n";
-  return 2;
-}
-
-bool write_bytes(const std::string& path,
-                 const std::vector<std::uint8_t>& bytes, std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    *error = "cannot open output file: " + path;
-    return false;
-  }
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  if (out.fail()) {
-    *error = "cannot write output file: " + path;
-    return false;
-  }
-  return true;
-}
+constexpr const char* kUsage =
+    "usage: strip_tool [--drop-dynsym] [--truth-out PATH | --no-truth]\n"
+    "                  -o OUTPUT INPUT\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   elf::StripOptions options;
-  std::string input;
   std::string output;
   std::string truth_out;
   bool no_truth = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--drop-dynsym") {
-      options.drop_dynsym = true;
-    } else if (arg == "--no-truth") {
-      no_truth = true;
-    } else if (arg == "--truth-out" && i + 1 < argc) {
-      truth_out = argv[++i];
-    } else if (arg.rfind("--truth-out=", 0) == 0) {
-      truth_out = arg.substr(12);
-    } else if (arg == "-o" && i + 1 < argc) {
-      output = argv[++i];
-    } else if (!arg.empty() && arg.front() == '-') {
-      return usage();
-    } else if (input.empty()) {
-      input = argv[i];
-    } else {
-      return usage();
-    }
+  namespace cli = util::cli;
+  cli::Parser parser(kUsage,
+                     {cli::flag("--drop-dynsym", &options.drop_dynsym),
+                      cli::flag("--no-truth", &no_truth),
+                      cli::text("--truth-out", &truth_out),
+                      cli::text("-o", &output)});
+  if (!parser.parse(argc, argv)) {
+    return 2;
   }
-  if (input.empty() || output.empty() || (no_truth && !truth_out.empty())) {
-    return usage();
+  if (parser.positionals().size() != 1 || output.empty() ||
+      (no_truth && parser.given("--truth-out"))) {
+    return parser.fail();
   }
+  const std::string& input = parser.positionals()[0];
 
   std::vector<std::uint8_t> image;
   if (!util::read_file_bytes(input, &image)) {
@@ -101,7 +70,11 @@ int main(int argc, char** argv) {
         {image.data(), image.size()}, options);
 
     std::string error;
-    if (!write_bytes(output, result.image, &error)) {
+    if (!util::write_text_file(
+            output,
+            {reinterpret_cast<const char*>(result.image.data()),
+             result.image.size()},
+            &error)) {
       std::cerr << "error: " << error << "\n";
       return 1;
     }
