@@ -1,5 +1,6 @@
 #include "core/pointer_detector.hpp"
 
+#include <algorithm>
 #include <deque>
 
 #include "analysis/callconv.hpp"
@@ -12,44 +13,71 @@ namespace {
 using x86::Insn;
 using x86::Kind;
 
+constexpr std::uint64_t kNoOffset = disasm::CodeOffsets::kNone;
+
+/// Per-pass scratch of probe_pointer: one allocation serves every probe
+/// of a detect_pointer_functions call.
+struct ProbeScratch {
+  explicit ProbeScratch(std::uint64_t size)
+      : insns(size), interior(size), queued(size) {}
+  disasm::ScratchBits insns;     ///< probed instruction starts
+  disasm::ScratchBits interior;  ///< bytes strictly inside a probed insn
+  disasm::ScratchBits queued;
+  std::deque<std::uint64_t> work;
+};
+
 /// Outcome of probing one candidate.
 struct Probe {
   bool legitimate = false;
-  std::set<std::uint64_t> insns;                 // probed instruction starts
+  std::vector<std::uint64_t> insns;              // probed instruction starts
   std::vector<std::pair<std::uint64_t, std::uint64_t>> lengths;  // addr,len
-  std::set<std::uint64_t> constants;             // new pointer material
+  std::vector<std::uint64_t> constants;          // new pointer material
 };
 
 /// Conservative recursive disassembly from \p start with the §IV-E error
 /// checks. Stops at known function starts; does not follow calls.
 Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
-                    std::uint64_t start) {
+                    std::uint64_t start, ProbeScratch& scratch) {
   Probe probe;
   constexpr std::size_t kMaxProbeInsns = 1u << 14;
+  const disasm::CodeOffsets& offsets = code.offsets();
+  scratch.insns.reset();
+  scratch.interior.reset();
+  scratch.queued.reset();
 
+  // Every probed instruction decoded, so it has a code offset; an address
+  // without one is in no probed instruction.
+  auto probed = [&](std::uint64_t addr) {
+    const std::uint64_t off = offsets.of(addr);
+    return off != kNoOffset && scratch.insns.test(off);
+  };
   // A transfer target is erroneous when it lands strictly inside a
   // previously decoded instruction (checks ii and iii).
   auto into_middle = [&](std::uint64_t addr) {
+    const std::uint64_t off = offsets.of(addr);
     return (state.covered.contains(addr) &&
             state.insn_starts.count(addr) == 0) ||
-           (probe.insns.count(addr) == 0 &&
-            std::any_of(probe.lengths.begin(), probe.lengths.end(),
-                        [addr](const auto& p) {
-                          return addr > p.first && addr < p.first + p.second;
-                        }));
+           (off != kNoOffset && !scratch.insns.test(off) &&
+            scratch.interior.test(off));
   };
 
-  std::deque<std::uint64_t> work;
-  work.push_back(start);
-  std::set<std::uint64_t> queued{start};
+  // Addresses without a code offset are not deduplicated: the first visit
+  // of one already rejects the probe at insn_at.
+  auto enqueue = [&](std::uint64_t addr) {
+    const std::uint64_t off = offsets.of(addr);
+    if (off == kNoOffset || scratch.queued.set(off)) {
+      scratch.work.push_back(addr);
+    }
+  };
+  scratch.work.clear();
+  enqueue(start);
 
-  while (!work.empty()) {
-    std::uint64_t addr = work.front();
-    work.pop_front();
+  while (!scratch.work.empty()) {
+    std::uint64_t addr = scratch.work.front();
+    scratch.work.pop_front();
 
     while (true) {
-      if (probe.insns.count(addr) != 0 ||
-          state.insn_starts.count(addr) != 0) {
+      if (probed(addr) || state.insn_starts.count(addr) != 0) {
         break;  // rejoined known-good code
       }
       if (probe.insns.size() >= kMaxProbeInsns) {
@@ -62,14 +90,19 @@ Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
       if (into_middle(addr)) {
         return probe;  // error (ii): middle of an existing instruction
       }
-      probe.insns.insert(addr);
+      const std::uint64_t off = offsets.of(addr);
+      scratch.insns.set(off);
+      for (std::uint64_t k = 1; k < insn->length; ++k) {
+        scratch.interior.set(off + k);
+      }
+      probe.insns.push_back(addr);
       probe.lengths.emplace_back(addr, insn->length);
       if (insn->mem_target &&
           code.elf().is_code_address(*insn->mem_target)) {
-        probe.constants.insert(*insn->mem_target);
+        probe.constants.push_back(*insn->mem_target);
       }
       if (insn->imm && code.elf().is_code_address(*insn->imm)) {
-        probe.constants.insert(*insn->imm);
+        probe.constants.push_back(*insn->imm);
       }
 
       auto check_target = [&](std::uint64_t t) -> bool {
@@ -101,9 +134,9 @@ Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
             return probe;
           }
           // Follow intra-probe flow, but stop at detected functions.
-          if (state.starts.count(t) == 0 && probe.insns.count(t) == 0 &&
-              state.insn_starts.count(t) == 0 && queued.insert(t).second) {
-            work.push_back(t);
+          if (state.starts.count(t) == 0 && !probed(t) &&
+              state.insn_starts.count(t) == 0) {
+            enqueue(t);
           }
           fallthrough = insn->kind == Kind::kCondJmp;
           break;
@@ -132,6 +165,11 @@ Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
     return probe;
   }
   probe.legitimate = true;
+  std::sort(probe.insns.begin(), probe.insns.end());
+  std::sort(probe.constants.begin(), probe.constants.end());
+  probe.constants.erase(
+      std::unique(probe.constants.begin(), probe.constants.end()),
+      probe.constants.end());
   return probe;
 }
 
@@ -142,7 +180,11 @@ PointerDetectionResult detect_pointer_functions(
     const disasm::Options& options,
     const PointerDetectionOptions& scan_options) {
   PointerDetectionResult result;
+  // Probing assumes every callee returns (see the header), so the main
+  // pass's noreturn knowledge is not consulted.
+  (void)options;
 
+  ProbeScratch scratch(code.offsets().size());
   std::set<std::uint64_t> seen;
   std::deque<std::uint64_t> queue;
   for (const std::uint64_t p : analysis::collect_pointer_candidates(
@@ -159,7 +201,7 @@ PointerDetectionResult detect_pointer_functions(
       continue;  // already known code: not a new start
     }
     ++result.probed;
-    Probe probe = probe_pointer(code, state, p);
+    Probe probe = probe_pointer(code, state, p, scratch);
     if (!probe.legitimate) {
       continue;
     }
@@ -183,7 +225,6 @@ PointerDetectionResult detect_pointer_functions(
         queue.push_back(c);
       }
     }
-    (void)options;
   }
   return result;
 }

@@ -37,8 +37,11 @@ struct PointerDetectionOptions {
 };
 
 /// Probes pointer candidates against (and mutating) \p state: accepted
-/// pointers add their coverage and xrefs to \p state so later probes see
-/// them. \p options carries the noreturn knowledge of the main pass.
+/// pointers add their coverage, instruction starts and a provisional
+/// function to \p state so later probes see them. Probing assumes every
+/// callee returns, so \p options (the main pass's disassembly options,
+/// noreturn knowledge included) is not consulted; the parameter stays for
+/// interface stability.
 [[nodiscard]] PointerDetectionResult detect_pointer_functions(
     const disasm::CodeView& code, disasm::Result& state,
     const disasm::Options& options,

@@ -66,6 +66,27 @@ CodeView::CodeView(const elf::ElfFile& elf) : elf_(elf) {
   }
   std::sort(shards_.begin(), shards_.end(),
             [](const Shard& a, const Shard& b) { return a.addr < b.addr; });
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+  spans.reserve(shards_.size());
+  for (const Shard& shard : shards_) {
+    // A shard can only end at 2^64 by wrapping; no section holds that
+    // last address (Section::contains), so clamping loses nothing.
+    spans.emplace_back(shard.addr,
+                       shard.addr + std::min(shard.slot_count,
+                                             ~std::uint64_t{0} - shard.addr));
+  }
+  offsets_ = CodeOffsets(std::move(spans));
+  for (const Shard& shard : shards_) {
+    if (widest_ == nullptr || shard.slot_count > widest_->slot_count) {
+      widest_ = &shard;
+    }
+  }
+  for (const Shard& shard : shards_) {
+    if (widest_ != nullptr && &shard != widest_ &&
+        shard.addr - widest_->addr < widest_->slot_count) {
+      widest_ = nullptr;
+    }
+  }
 }
 
 CodeView::~CodeView() {

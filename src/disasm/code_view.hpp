@@ -16,6 +16,7 @@
 /// and publishes the record (decoding → decoded), so no byte is ever
 /// decoded twice.
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -24,14 +25,43 @@
 #include <span>
 #include <vector>
 
+#include "disasm/code_offsets.hpp"
 #include "elf/elf_file.hpp"
 #include "x86/insn.hpp"
 
 namespace fetch::disasm {
 
-/// A sliding window of recently decoded instructions. The pointers point
-/// into a CodeView's record arena and stay valid for its lifetime.
-using InsnWindow = std::vector<const x86::Insn*>;
+/// A sliding window of the last (up to) 32 decoded instructions on a path,
+/// oldest first. A fixed ring: pushing past capacity drops the oldest, and
+/// copying one (each enqueued jump carries its path's window) never
+/// touches the heap. The pointers point into a CodeView's record arena and
+/// stay valid for its lifetime.
+class InsnWindow {
+ public:
+  static constexpr std::size_t kCapacity = 32;
+
+  void push_back(const x86::Insn* insn) {
+    if (size_ == kCapacity) {
+      slots_[head_] = insn;
+      head_ = (head_ + 1) % kCapacity;
+    } else {
+      slots_[(head_ + size_) % kCapacity] = insn;
+      ++size_;
+    }
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// The i-th instruction, 0 being the oldest.
+  [[nodiscard]] const x86::Insn* operator[](std::size_t i) const {
+    return slots_[(head_ + i) % kCapacity];
+  }
+  [[nodiscard]] const x86::Insn* back() const { return (*this)[size_ - 1]; }
+
+ private:
+  std::array<const x86::Insn*, kCapacity> slots_{};
+  std::uint8_t head_ = 0;
+  std::uint8_t size_ = 0;
+};
 
 class CodeView {
  public:
@@ -42,6 +72,10 @@ class CodeView {
   CodeView& operator=(const CodeView&) = delete;
 
   [[nodiscard]] const elf::ElfFile& elf() const { return elf_; }
+
+  /// Dense numbering of the decodable (file-backed executable) bytes; the
+  /// index space of the flat disassembly state.
+  [[nodiscard]] const CodeOffsets& offsets() const { return offsets_; }
 
   /// True if \p addr lies in an executable section.
   [[nodiscard]] bool is_code(std::uint64_t addr) const {
@@ -54,7 +88,10 @@ class CodeView {
   /// from multiple threads; reads of already-decoded addresses are
   /// wait-free.
   [[nodiscard]] const x86::Insn* insn_at(std::uint64_t addr) const {
-    const Shard* shard = shard_at(addr);
+    const Shard* shard =
+        widest_ != nullptr && addr - widest_->addr < widest_->slot_count
+            ? widest_
+            : shard_at(addr);
     if (shard == nullptr) {
       return nullptr;
     }
@@ -152,6 +189,11 @@ class CodeView {
 
   const elf::ElfFile& elf_;
   std::vector<Shard> shards_;  // sorted by addr; slots mutated atomically
+  CodeOffsets offsets_;        // union of the shards
+  /// The widest shard (normally .text) when shard_at would answer it for
+  /// every address it holds (no other shard starts inside it); lets most
+  /// lookups skip the search.
+  const Shard* widest_ = nullptr;
   mutable std::atomic<std::uint32_t> arena_next_{0};
   mutable std::atomic<x86::Insn*> buckets_[kMaxBuckets] = {};
 };

@@ -5,27 +5,53 @@
 
 namespace fetch::disasm {
 
+void XRefs::seal() {
+  if (pending_.empty()) {
+    return;
+  }
+  // Earlier entries precede the pending ones, so a stable sort by target
+  // keeps every target's references in insertion order.
+  std::vector<Pending> entries;
+  entries.reserve(refs_.size() + pending_.size());
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    for (const Ref& ref : refs_of(i)) {
+      entries.push_back({targets_[i], ref});
+    }
+  }
+  entries.insert(entries.end(), pending_.begin(), pending_.end());
+  pending_.clear();
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const Pending& a, const Pending& b) {
+                     return a.target < b.target;
+                   });
+  targets_.clear();
+  first_.clear();
+  refs_.clear();
+  refs_.reserve(entries.size());
+  for (const Pending& entry : entries) {
+    if (targets_.empty() || targets_.back() != entry.target) {
+      targets_.push_back(entry.target);
+      first_.push_back(refs_.size());
+    }
+    refs_.push_back(entry.ref);
+  }
+  first_.push_back(refs_.size());
+}
+
 namespace {
 
 using x86::Insn;
 using x86::Kind;
 using x86::Reg;
 
-constexpr std::size_t kWindowLimit = 32;
-
-void push_window(InsnWindow& window, const Insn* insn) {
-  if (window.size() >= kWindowLimit) {
-    window.erase(window.begin());
-  }
-  window.push_back(insn);
-}
+constexpr std::uint64_t kNoOffset = CodeOffsets::kNone;
 
 /// Backward slice of the first-argument register (edi) at a call site:
 /// returns true when edi provably holds zero. Used for the paper's
 /// `error`/`error_at_line` conditional-noreturn special case.
 bool first_arg_is_zero(const InsnWindow& window) {
-  for (auto it = window.rbegin(); it != window.rend(); ++it) {
-    const Insn& insn = **it;
+  for (std::size_t i = window.size(); i-- > 0;) {
+    const Insn& insn = *window[i];
     if ((insn.regs_written & reg_bit(Reg::kRdi)) == 0) {
       continue;
     }
@@ -42,17 +68,51 @@ bool first_arg_is_zero(const InsnWindow& window) {
   return false;  // no definition in window: assume non-zero (conservative)
 }
 
-/// Does the call at \p site to \p callee fall through?
-bool call_returns(const Options& options, const InsnWindow& window,
-                  std::uint64_t callee) {
-  if (options.noreturn_functions.count(callee) != 0) {
-    return false;
+/// Membership in an address set, flat over code offsets. Addresses with
+/// no code offset (rare: outside the file-backed code) ask the set itself.
+class Membership {
+ public:
+  Membership(const CodeOffsets& offsets, const std::set<std::uint64_t>& set)
+      : offsets_(offsets), set_(set), bits_(offsets.size()) {
+    for (const std::uint64_t addr : set) {
+      const std::uint64_t off = offsets.of(addr);
+      if (off != kNoOffset) {
+        bits_.set(off);
+      }
+    }
   }
-  if (options.conditional_noreturn.count(callee) != 0) {
-    return first_arg_is_zero(window);
+  [[nodiscard]] bool contains(std::uint64_t addr) const {
+    const std::uint64_t off = offsets_.of(addr);
+    return off != kNoOffset ? bits_.test(off) : set_.count(addr) != 0;
   }
-  return true;
-}
+
+ private:
+  const CodeOffsets& offsets_;
+  const std::set<std::uint64_t>& set_;
+  OffsetBits bits_;
+};
+
+/// The noreturn knowledge of one pass, as flat tables built once.
+struct CallKnowledge {
+  CallKnowledge(const CodeOffsets& offsets, const Options& options)
+      : noreturn(offsets, options.noreturn_functions),
+        conditional(offsets, options.conditional_noreturn) {}
+
+  /// Does a call to \p callee, reached with \p window, fall through?
+  [[nodiscard]] bool returns(const InsnWindow& window,
+                             std::uint64_t callee) const {
+    if (noreturn.contains(callee)) {
+      return false;
+    }
+    if (conditional.contains(callee)) {
+      return first_arg_is_zero(window);
+    }
+    return true;
+  }
+
+  Membership noreturn;
+  Membership conditional;
+};
 
 /// Records pointer-material references (RIP-relative targets and in-image
 /// immediates) for the xref index.
@@ -76,14 +136,20 @@ struct WorkItem {
 /// Phase 1: global discovery. Explores every reachable instruction once,
 /// collecting call targets, coverage, xrefs and jump tables.
 void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
-              const Options& options, Result& result) {
-  std::set<std::uint64_t> visited;
+              const Options& options, const CallKnowledge& calls,
+              Result& result) {
+  const CodeOffsets& offsets = code.offsets();
+  OffsetBits visited(offsets.size());
+  OffsetBits queued(offsets.size());
   std::deque<WorkItem> work;
-  std::set<std::uint64_t> queued;
+  std::vector<std::uint64_t> call_targets;
 
-  auto enqueue = [&](std::uint64_t addr, InsnWindow window) {
-    if (visited.count(addr) == 0 && queued.insert(addr).second) {
-      work.push_back({addr, std::move(window)});
+  // An address without a code offset never decodes, so it is not
+  // deduplicated: each visit stops at insn_at exactly like the first.
+  auto enqueue = [&](std::uint64_t addr, const InsnWindow& window) {
+    const std::uint64_t off = offsets.of(addr);
+    if (off == kNoOffset || (!visited.test(off) && queued.set(off))) {
+      work.push_back({addr, window});
     }
   };
 
@@ -94,13 +160,14 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
   }
 
   while (!work.empty()) {
-    WorkItem item = std::move(work.front());
+    const WorkItem item = work.front();
     work.pop_front();
     std::uint64_t addr = item.addr;
-    InsnWindow window = std::move(item.window);
+    InsnWindow window = item.window;
 
     while (true) {
-      if (!visited.insert(addr).second) {
+      const std::uint64_t off = offsets.of(addr);
+      if (off != kNoOffset && !visited.set(off)) {
         break;
       }
       const auto insn = code.insn_at(addr);
@@ -110,7 +177,7 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
       result.covered.add(addr, addr + insn->length);
       result.insn_starts.insert(addr);
       record_data_refs(code, *insn, result.xrefs);
-      push_window(window, insn);
+      window.push_back(insn);
 
       bool fallthrough = false;
       switch (insn->kind) {
@@ -118,10 +185,10 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
           const std::uint64_t target = *insn->target;
           result.xrefs.add(target, addr, RefKind::kCall);
           if (code.is_code(target)) {
-            result.call_targets.insert(target);
+            call_targets.push_back(target);
             enqueue(target, {});
           }
-          fallthrough = call_returns(options, window, target);
+          fallthrough = calls.returns(window, target);
           break;
         }
         case Kind::kCallIndirect:
@@ -173,28 +240,52 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
       }
     }
   }
+
+  std::sort(call_targets.begin(), call_targets.end());
+  result.call_targets = std::set<std::uint64_t>(
+      call_targets.begin(),
+      std::unique(call_targets.begin(), call_targets.end()));
 }
+
+/// Per-pass scratch of build_function: one allocation serves every
+/// function of an explore pass.
+struct FunctionScratch {
+  explicit FunctionScratch(std::uint64_t size) : in_fn(size), queued(size) {}
+  ScratchBits in_fn;
+  ScratchBits queued;
+  std::deque<WorkItem> work;
+};
 
 /// Phase 2: builds one function's structure against the final start set.
 Function build_function(const CodeView& code, std::uint64_t entry,
-                        const std::set<std::uint64_t>& starts,
-                        const Options& options) {
+                        const Membership& starts, const CallKnowledge& calls,
+                        const Options& options, FunctionScratch& scratch) {
   Function fn;
   fn.entry = entry;
+  const CodeOffsets& offsets = code.offsets();
+  scratch.in_fn.reset();
+  scratch.queued.reset();
 
-  std::deque<WorkItem> work;
-  std::set<std::uint64_t> queued;
-  work.push_back({entry, {}});
-  queued.insert(entry);
+  // As in discover, addresses without a code offset are not deduplicated:
+  // every visit marks the function truncated, as the first one does.
+  auto enqueue_local = [&](std::uint64_t t, const InsnWindow& w) {
+    const std::uint64_t off = offsets.of(t);
+    if (off == kNoOffset ||
+        (!scratch.in_fn.test(off) && scratch.queued.set(off))) {
+      scratch.work.push_back({t, w});
+    }
+  };
+  enqueue_local(entry, {});
 
-  while (!work.empty()) {
-    WorkItem item = std::move(work.front());
-    work.pop_front();
+  while (!scratch.work.empty()) {
+    const WorkItem item = scratch.work.front();
+    scratch.work.pop_front();
     std::uint64_t addr = item.addr;
-    InsnWindow window = std::move(item.window);
+    InsnWindow window = item.window;
 
     while (true) {
-      if (fn.insn_addrs.count(addr) != 0) {
+      const std::uint64_t off = offsets.of(addr);
+      if (off != kNoOffset && scratch.in_fn.test(off)) {
         break;
       }
       if (fn.insn_addrs.size() >= options.max_insns_per_function) {
@@ -206,20 +297,15 @@ Function build_function(const CodeView& code, std::uint64_t entry,
         fn.truncated = true;
         break;
       }
-      fn.insn_addrs.insert(addr);
+      scratch.in_fn.set(off);
+      fn.insn_addrs.push_back(addr);
       fn.max_end = std::max(fn.max_end, addr + insn->length);
-      push_window(window, insn);
-
-      auto enqueue_local = [&](std::uint64_t t, InsnWindow w) {
-        if (fn.insn_addrs.count(t) == 0 && queued.insert(t).second) {
-          work.push_back({t, std::move(w)});
-        }
-      };
+      window.push_back(insn);
 
       bool fallthrough = false;
       switch (insn->kind) {
         case Kind::kCallDirect:
-          fallthrough = call_returns(options, window, *insn->target);
+          fallthrough = calls.returns(window, *insn->target);
           break;
         case Kind::kCallIndirect:
           fallthrough = true;
@@ -229,7 +315,7 @@ Function build_function(const CodeView& code, std::uint64_t entry,
           const std::uint64_t target = *insn->target;
           fn.jumps.push_back({addr, target, insn->kind == Kind::kCondJmp});
           const bool other_function =
-              starts.count(target) != 0 && target != entry;
+              starts.contains(target) && target != entry;
           if (!other_function && code.is_code(target)) {
             enqueue_local(target, window);
           }
@@ -240,7 +326,7 @@ Function build_function(const CodeView& code, std::uint64_t entry,
           if (options.resolve_jump_tables) {
             if (auto table = resolve_jump_table(code, window)) {
               for (const std::uint64_t t : table->targets) {
-                if (starts.count(t) == 0 || t == entry) {
+                if (!starts.contains(t) || t == entry) {
                   enqueue_local(t, {});
                 }
               }
@@ -266,28 +352,78 @@ Function build_function(const CodeView& code, std::uint64_t entry,
       }
     }
   }
+  std::sort(fn.insn_addrs.begin(), fn.insn_addrs.end());
   return fn;
 }
+
+/// Which addresses are function entries of a Result and which of those
+/// may return (the state of find_noreturn_functions' fixpoint), flat over
+/// code offsets. Entries without a code offset live in side sets.
+class EntryFlags {
+ public:
+  EntryFlags(const CodeOffsets& offsets,
+             const std::map<std::uint64_t, Function>& functions)
+      : offsets_(offsets), entry_(offsets.size()), may_return_(offsets.size()) {
+    for (const auto& [entry, fn] : functions) {
+      const std::uint64_t off = offsets.of(entry);
+      if (off != kNoOffset) {
+        entry_.set(off);
+      } else {
+        other_entries_.insert(entry);
+      }
+    }
+  }
+  [[nodiscard]] bool is_entry(std::uint64_t addr) const {
+    const std::uint64_t off = offsets_.of(addr);
+    return off != kNoOffset ? entry_.test(off)
+                            : other_entries_.count(addr) != 0;
+  }
+  [[nodiscard]] bool may_return(std::uint64_t addr) const {
+    const std::uint64_t off = offsets_.of(addr);
+    return off != kNoOffset ? may_return_.test(off)
+                            : other_may_return_.count(addr) != 0;
+  }
+  void set_may_return(std::uint64_t addr) {
+    const std::uint64_t off = offsets_.of(addr);
+    if (off != kNoOffset) {
+      may_return_.set(off);
+    } else {
+      other_may_return_.insert(addr);
+    }
+  }
+
+ private:
+  const CodeOffsets& offsets_;
+  OffsetBits entry_;
+  OffsetBits may_return_;
+  std::set<std::uint64_t> other_entries_;
+  std::set<std::uint64_t> other_may_return_;
+};
 
 }  // namespace
 
 Result explore(const CodeView& code, const std::vector<std::uint64_t>& seeds,
                const Options& options) {
   Result result;
-  discover(code, seeds, options, result);
+  result.insn_starts = CodeBitset(code.offsets());
+  result.covered = CodeBitset(code.offsets());
+  const CallKnowledge calls(code.offsets(), options);
+  discover(code, seeds, options, calls, result);
+  result.xrefs.seal();
 
   for (const std::uint64_t seed : seeds) {
     if (code.is_code(seed)) {
       result.starts.insert(seed);
     }
   }
-  for (const std::uint64_t t : result.call_targets) {
-    result.starts.insert(t);
-  }
+  result.starts.insert(result.call_targets.begin(), result.call_targets.end());
 
+  const Membership starts(code.offsets(), result.starts);
+  FunctionScratch scratch(code.offsets().size());
   for (const std::uint64_t entry : result.starts) {
-    result.functions.emplace(
-        entry, build_function(code, entry, result.starts, options));
+    result.functions.emplace_hint(
+        result.functions.end(), entry,
+        build_function(code, entry, starts, calls, options, scratch));
   }
   return result;
 }
@@ -295,39 +431,57 @@ Result explore(const CodeView& code, const std::vector<std::uint64_t>& seeds,
 std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
                                                 const Result& result,
                                                 const Options& options) {
+  const CodeOffsets& offsets = code.offsets();
+  const CallKnowledge calls(offsets, options);
   // Least fixpoint of "may return".
-  std::set<std::uint64_t> may_return;
+  EntryFlags entries(offsets, result.functions);
+  ScratchBits member(offsets.size());
+  ScratchBits seen(offsets.size());
+  std::deque<WorkItem> work;
 
   auto path_reaches_ret = [&](const Function& fn) -> bool {
-    std::deque<WorkItem> work;
-    std::set<std::uint64_t> seen;
+    member.reset();
+    seen.reset();
+    for (const std::uint64_t addr : fn.insn_addrs) {
+      const std::uint64_t off = offsets.of(addr);
+      if (off != kNoOffset) {
+        member.set(off);
+      }
+    }
+    // Membership in fn; an address without a code offset never decodes.
+    auto in_fn = [&](std::uint64_t addr) {
+      const std::uint64_t off = offsets.of(addr);
+      return off != kNoOffset ? member.test(off) : fn.contains(addr);
+    };
+    work.clear();
     work.push_back({fn.entry, {}});
     while (!work.empty()) {
-      WorkItem item = std::move(work.front());
+      const WorkItem item = work.front();
       work.pop_front();
       std::uint64_t addr = item.addr;
-      InsnWindow window = std::move(item.window);
+      InsnWindow window = item.window;
       while (true) {
-        if (!seen.insert(addr).second || fn.insn_addrs.count(addr) == 0) {
+        const std::uint64_t off = offsets.of(addr);
+        if (off == kNoOffset || !member.test(off) || !seen.set(off)) {
           break;
         }
         const auto insn = code.insn_at(addr);
         if (!insn) {
           break;
         }
-        push_window(window, insn);
+        window.push_back(insn);
         bool fallthrough = false;
         switch (insn->kind) {
           case Kind::kRet:
             return true;
           case Kind::kCallDirect: {
             const std::uint64_t callee = *insn->target;
-            const bool internal = result.functions.count(callee) != 0;
-            if (options.noreturn_functions.count(callee) != 0 ||
-                (internal && may_return.count(callee) == 0)) {
+            const bool internal = entries.is_entry(callee);
+            if (calls.noreturn.contains(callee) ||
+                (internal && !entries.may_return(callee))) {
               break;  // callee (currently) known not to return
             }
-            if (options.conditional_noreturn.count(callee) != 0) {
+            if (calls.conditional.contains(callee)) {
               fallthrough = first_arg_is_zero(window);
               break;
             }
@@ -340,11 +494,11 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
           case Kind::kJmpDirect:
           case Kind::kCondJmp: {
             const std::uint64_t target = *insn->target;
-            if (fn.insn_addrs.count(target) != 0) {
+            if (in_fn(target)) {
               work.push_back({target, window});
-            } else if (result.functions.count(target) != 0) {
+            } else if (entries.is_entry(target)) {
               // Escaping jump (tail-call shaped): f returns iff target may.
-              if (may_return.count(target) != 0) {
+              if (entries.may_return(target)) {
                 return true;
               }
             } else if (code.is_code(target)) {
@@ -378,11 +532,11 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
   while (changed) {
     changed = false;
     for (const auto& [entry, fn] : result.functions) {
-      if (may_return.count(entry) != 0) {
+      if (entries.may_return(entry)) {
         continue;
       }
       if (path_reaches_ret(fn)) {
-        may_return.insert(entry);
+        entries.set_may_return(entry);
         changed = true;
       }
     }
@@ -390,8 +544,8 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
 
   std::set<std::uint64_t> noreturn;
   for (const auto& [entry, fn] : result.functions) {
-    if (may_return.count(entry) == 0) {
-      noreturn.insert(entry);
+    if (!entries.may_return(entry)) {
+      noreturn.emplace_hint(noreturn.end(), entry);
     }
   }
   return noreturn;

@@ -12,15 +12,17 @@
 /// to mutual stability, then derives per-function structure against the
 /// final set of known function starts.
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
+#include "disasm/code_offsets.hpp"
 #include "disasm/code_view.hpp"
 #include "disasm/jump_table.hpp"
-#include "util/interval_set.hpp"
+#include "util/error.hpp"
 #include "x86/insn.hpp"
 
 namespace fetch::disasm {
@@ -35,8 +37,9 @@ struct FuncJump {
 
 struct Function {
   std::uint64_t entry = 0;
-  /// Addresses of all instructions reached intra-procedurally.
-  std::set<std::uint64_t> insn_addrs;
+  /// Addresses of all instructions reached intra-procedurally, sorted
+  /// ascending and free of duplicates.
+  std::vector<std::uint64_t> insn_addrs;
   /// One past the highest byte of any instruction in the function.
   std::uint64_t max_end = 0;
   /// All direct jmp/jcc instructions in the function.
@@ -48,7 +51,7 @@ struct Function {
   bool truncated = false;
 
   [[nodiscard]] bool contains(std::uint64_t addr) const {
-    return insn_addrs.count(addr) != 0;
+    return std::binary_search(insn_addrs.begin(), insn_addrs.end(), addr);
   }
 };
 
@@ -66,22 +69,85 @@ struct Ref {
   RefKind kind = RefKind::kCall;
 };
 
-/// Reverse reference index over the disassembled code.
+/// Reverse reference index over the disassembled code, built as one flat
+/// table: references are appended during exploration, then seal() sorts
+/// them stably by target (CSR layout), so each target's references keep
+/// their insertion order. Reads require a sealed index.
 class XRefs {
  public:
+  /// One target and its references, as all() yields them.
+  struct Entry {
+    std::uint64_t target = 0;
+    std::span<const Ref> refs;
+  };
+
+  class Iterator {
+   public:
+    Iterator(const XRefs* xrefs, std::size_t index)
+        : xrefs_(xrefs), index_(index) {}
+    [[nodiscard]] Entry operator*() const {
+      return {xrefs_->targets_[index_], xrefs_->refs_of(index_)};
+    }
+    Iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    [[nodiscard]] bool operator==(const Iterator&) const = default;
+
+   private:
+    const XRefs* xrefs_;
+    std::size_t index_;
+  };
+
+  /// Every referenced target in ascending order; size() counts targets.
+  class View {
+   public:
+    explicit View(const XRefs* xrefs) : xrefs_(xrefs) {}
+    [[nodiscard]] Iterator begin() const { return {xrefs_, 0}; }
+    [[nodiscard]] Iterator end() const {
+      return {xrefs_, xrefs_->targets_.size()};
+    }
+    [[nodiscard]] std::size_t size() const { return xrefs_->targets_.size(); }
+
+   private:
+    const XRefs* xrefs_;
+  };
+
   void add(std::uint64_t target, std::uint64_t site, RefKind kind) {
-    refs_[target].push_back({site, kind});
+    pending_.push_back({target, {site, kind}});
   }
-  [[nodiscard]] const std::vector<Ref>* at(std::uint64_t target) const {
-    const auto it = refs_.find(target);
-    return it == refs_.end() ? nullptr : &it->second;
+
+  /// Folds the references added since the last seal into the table.
+  void seal();
+
+  /// References to \p target in insertion order (empty when none).
+  [[nodiscard]] std::span<const Ref> at(std::uint64_t target) const {
+    FETCH_ASSERT(pending_.empty());
+    const auto it =
+        std::lower_bound(targets_.begin(), targets_.end(), target);
+    if (it == targets_.end() || *it != target) {
+      return {};
+    }
+    return refs_of(static_cast<std::size_t>(it - targets_.begin()));
   }
-  [[nodiscard]] const std::map<std::uint64_t, std::vector<Ref>>& all() const {
-    return refs_;
+  [[nodiscard]] View all() const {
+    FETCH_ASSERT(pending_.empty());
+    return View(this);
   }
 
  private:
-  std::map<std::uint64_t, std::vector<Ref>> refs_;
+  struct Pending {
+    std::uint64_t target;
+    Ref ref;
+  };
+  [[nodiscard]] std::span<const Ref> refs_of(std::size_t index) const {
+    return {refs_.data() + first_[index], first_[index + 1] - first_[index]};
+  }
+
+  std::vector<Pending> pending_;
+  std::vector<std::uint64_t> targets_;  ///< distinct, ascending
+  std::vector<std::size_t> first_{0};   ///< refs_ slice of each target
+  std::vector<Ref> refs_;
 };
 
 struct Options {
@@ -109,9 +175,9 @@ struct Result {
   /// Every address at which an instruction was decoded (valid instruction
   /// boundaries). Together with `covered`, lets callers detect control
   /// transfers into the *middle* of known instructions (§IV-E error ii/iii).
-  std::set<std::uint64_t> insn_starts;
+  CodeBitset insn_starts;
   /// Union of all instruction ranges.
-  IntervalSet covered;
+  CodeBitset covered;
   XRefs xrefs;
   std::vector<JumpTable> jump_tables;
 };

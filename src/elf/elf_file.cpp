@@ -33,6 +33,7 @@ Ehdr read_ehdr(std::span<const std::uint8_t> image) {
 ElfFile::ElfFile(std::span<const std::uint8_t> image)
     : image_(image.begin(), image.end()) {
   parse();
+  build_section_table();
 }
 
 ElfFile ElfFile::load(const std::string& path) {
@@ -230,13 +231,75 @@ std::span<const std::uint8_t> ElfFile::section_bytes(const Section& s) const {
                          "section bytes");
 }
 
-const Section* ElfFile::section_at(Addr addr) const {
-  for (const Section& s : sections_) {
-    if (s.contains(addr)) {
-      return &s;
+void ElfFile::build_section_table() {
+  // Sweep the section boundaries in address order, keeping the set of
+  // sections that cover the current interval; the lowest index among them
+  // is the linear scan's first match. Empty sections, and sections whose
+  // end wraps past 2^64 (Section::contains never matches them), add none.
+  struct Event {
+    Addr at;
+    bool start;
+    std::int32_t section;
+  };
+  std::vector<Event> events;
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    const Section& s = sections_[i];
+    const Addr end = s.addr + s.size;
+    if (!s.alloc() || end <= s.addr) {
+      continue;
+    }
+    events.push_back({s.addr, true, static_cast<std::int32_t>(i)});
+    events.push_back({end, false, static_cast<std::int32_t>(i)});
+  }
+  std::sort(events.begin(), events.end(),
+            [](const Event& a, const Event& b) { return a.at < b.at; });
+  std::set<std::int32_t> active;
+  for (std::size_t k = 0; k < events.size();) {
+    const Addr at = events[k].at;
+    for (; k < events.size() && events[k].at == at; ++k) {
+      if (events[k].start) {
+        active.insert(events[k].section);
+      } else {
+        active.erase(events[k].section);
+      }
+    }
+    const std::int32_t first = active.empty() ? -1 : *active.begin();
+    const std::int32_t current = spans_.empty() ? -1 : spans_.back().section;
+    if (first != current) {
+      spans_.push_back(
+          {at, first,
+           first >= 0 &&
+               sections_[static_cast<std::size_t>(first)].executable()});
     }
   }
-  return nullptr;
+  // The last span always reads "none": every section ends somewhere.
+  for (std::size_t i = 0; i + 1 < spans_.size(); ++i) {
+    if (!spans_[i].code) {
+      continue;
+    }
+    if (!code_ranges_.empty() && code_ranges_.back().second == spans_[i].lo) {
+      code_ranges_.back().second = spans_[i + 1].lo;
+    } else {
+      code_ranges_.emplace_back(spans_[i].lo, spans_[i + 1].lo);
+    }
+  }
+  for (const auto& range : code_ranges_) {
+    if (range.second - range.first >
+        widest_code_.second - widest_code_.first) {
+      widest_code_ = range;
+    }
+  }
+}
+
+const Section* ElfFile::section_at(Addr addr) const {
+  const auto it = std::upper_bound(
+      spans_.begin(), spans_.end(), addr,
+      [](Addr a, const SectionSpan& span) { return a < span.lo; });
+  if (it == spans_.begin()) {
+    return nullptr;
+  }
+  const std::int32_t section = std::prev(it)->section;
+  return section < 0 ? nullptr : &sections_[static_cast<std::size_t>(section)];
 }
 
 std::optional<std::span<const std::uint8_t>> ElfFile::bytes_at(
@@ -254,8 +317,19 @@ std::optional<std::span<const std::uint8_t>> ElfFile::bytes_at(
 }
 
 bool ElfFile::is_code_address(Addr addr) const {
-  const Section* s = section_at(addr);
-  return s != nullptr && s->executable();
+  // Disassembly asks mostly about .text; the data-pointer scan (once per
+  // data byte) mostly about addresses outside every code range.
+  if (addr - widest_code_.first < widest_code_.second - widest_code_.first) {
+    return true;
+  }
+  if (code_ranges_.empty() || addr < code_ranges_.front().first ||
+      addr >= code_ranges_.back().second) {
+    return false;
+  }
+  const auto it = std::upper_bound(
+      code_ranges_.begin(), code_ranges_.end(), addr,
+      [](Addr a, const std::pair<Addr, Addr>& r) { return a < r.first; });
+  return it != code_ranges_.begin() && addr < std::prev(it)->second;
 }
 
 }  // namespace fetch::elf

@@ -11,6 +11,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "elf/types.hpp"
@@ -144,10 +145,12 @@ class ElfFile {
   [[nodiscard]] std::optional<std::span<const std::uint8_t>> bytes_at(
       Addr addr, std::uint64_t len) const;
 
-  /// The allocated section containing \p addr, or nullptr.
+  /// The allocated section containing \p addr, or nullptr. Where
+  /// sections overlap, the first in header order wins. Answered from a
+  /// sorted range table built at parse time (a binary search, not a scan).
   [[nodiscard]] const Section* section_at(Addr addr) const;
 
-  /// True if \p addr is inside an executable section.
+  /// True if section_at(\p addr) is executable.
   [[nodiscard]] bool is_code_address(Addr addr) const;
 
   /// Whole underlying image.
@@ -157,6 +160,15 @@ class ElfFile {
 
  private:
   void parse();
+  void build_section_table();
+
+  /// One elementary address interval of the section table: from `lo` up
+  /// to the next entry's `lo`, section_at answers `section` (-1: none).
+  struct SectionSpan {
+    Addr lo = 0;
+    std::int32_t section = -1;
+    bool code = false;
+  };
 
   std::vector<std::uint8_t> image_;
   Type type_ = Type::kNone;
@@ -167,6 +179,11 @@ class ElfFile {
   std::vector<Symbol> dyn_symbols_;
   bool has_symtab_ = false;
   bool has_dynsym_ = false;
+  std::vector<SectionSpan> spans_;  // sorted by lo; starts implicitly at -1
+  /// Maximal address ranges where is_code_address holds, sorted, and the
+  /// widest of them (normally .text), which answers most queries alone.
+  std::vector<std::pair<Addr, Addr>> code_ranges_;
+  std::pair<Addr, Addr> widest_code_{0, 0};
 };
 
 }  // namespace fetch::elf

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "disasm/code_offsets.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
 
@@ -68,6 +69,60 @@ TEST_P(IntervalRandom, MatchesNaiveModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalRandom,
+                         ::testing::Range<std::uint64_t>(0, 10));
+
+/// Differential testing of the flat covered-bytes record (CodeBitset)
+/// against IntervalSet, which it replaced in the disassembly Result, and
+/// the naive model. The code ranges include two touching spans (merged
+/// into one range) and addresses outside every range.
+class CodeBitsetRandom : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CodeBitsetRandom, MatchesIntervalSetAndNaiveModel) {
+  Rng rng(GetParam() * 104729 + 11);
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> spans = {
+      {400, 530}, {100, 300}, {300, 340}, {120, 200}};
+  const disasm::CodeOffsets offsets(spans);
+  ASSERT_EQ(offsets.ranges().size(), 2u);
+  ASSERT_EQ(offsets.size(), 240u + 130u);
+  disasm::CodeBitset fast(offsets);
+  IntervalSet reference;
+  std::set<std::uint64_t> slow;
+  constexpr std::uint64_t kSpace = 600;
+
+  for (int op = 0; op < 300; ++op) {
+    // An instruction-like range inside one code range.
+    const auto& range = offsets.ranges()[rng.below(2)];
+    const std::uint64_t lo = range.lo + rng.below(range.hi - range.lo);
+    const std::uint64_t hi =
+        std::min(range.hi, lo + 1 + rng.below(15));
+    if (rng.below(4) == 0) {
+      EXPECT_EQ(fast.insert(lo), slow.insert(lo).second);
+      reference.add(lo, lo + 1);
+    } else {
+      fast.add(lo, hi);
+      reference.add(lo, hi);
+      for (std::uint64_t a = lo; a < hi; ++a) {
+        slow.insert(a);
+      }
+    }
+    ASSERT_EQ(fast.size(), slow.size());
+    for (int q = 0; q < 8; ++q) {
+      const std::uint64_t a = rng.below(kSpace);
+      ASSERT_EQ(fast.contains(a), slow.count(a) != 0) << a;
+      ASSERT_EQ(fast.count(a), slow.count(a)) << a;
+    }
+    const std::uint64_t qlo = rng.below(kSpace);
+    const std::uint64_t qhi = rng.below(kSpace);
+    ASSERT_EQ(fast.gaps(qlo, qhi), reference.gaps(qlo, qhi))
+        << qlo << ".." << qhi << " after op " << op;
+  }
+  ASSERT_EQ(fast.gaps(0, kSpace), reference.gaps(0, kSpace));
+  EXPECT_EQ(offsets.of(99), disasm::CodeOffsets::kNone);
+  EXPECT_EQ(offsets.of(340), disasm::CodeOffsets::kNone);
+  EXPECT_EQ(offsets.of(400), 240u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CodeBitsetRandom,
                          ::testing::Range<std::uint64_t>(0, 10));
 
 }  // namespace

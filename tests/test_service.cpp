@@ -430,12 +430,17 @@ TEST(Service, ShutdownCompletesInFlightRequests) {
 
   const std::string path =
       write_sample_binary("svc_shutdown.bin", 4, 0xdead);
+  // Both clients connect before anything is sent, so the shutdown cannot
+  // overtake the in-flight client's connect.
+  auto client = service::ServiceClient::connect(options.socket_path, &error);
+  ASSERT_TRUE(client.has_value()) << error;
+  auto shutdown_client =
+      service::ServiceClient::connect(options.socket_path, &error);
+  ASSERT_TRUE(shutdown_client.has_value()) << error;
+
   std::atomic<bool> query_ok{false};
   std::thread in_flight([&] {
     std::string thread_error;
-    auto client =
-        service::ServiceClient::connect(options.socket_path, &thread_error);
-    ASSERT_TRUE(client.has_value()) << thread_error;
     const auto result = client->query(path, &thread_error);
     // The query may race the shutdown, but if it was accepted it must
     // complete with a full, valid result — never a torn reply.
@@ -446,11 +451,25 @@ TEST(Service, ShutdownCompletesInFlightRequests) {
     }
   });
 
-  // Give the query a moment to be in flight, then shut down mid-stream.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  auto shutdown_client =
-      service::ServiceClient::connect(options.socket_path, &error);
-  ASSERT_TRUE(shutdown_client.has_value()) << error;
+  // Shut down only once the server has taken the query in: its queue
+  // high-water mark, read via `stats`, turns nonzero on enqueue.
+  auto query_received = [&] {
+    const auto stats = shutdown_client->stats(&error);
+    const util::json::Value* server_stats =
+        stats ? stats->get("server") : nullptr;
+    const util::json::Value* high_water =
+        server_stats ? server_stats->get("queue_high_water") : nullptr;
+    return high_water != nullptr && high_water->as_double() >= 1;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool received = query_received();
+  while (!received && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+    received = query_received();
+  }
+  EXPECT_TRUE(received) << "the server never queued the in-flight query: "
+                        << error;
   const auto stats = shutdown_client->shutdown_server(&error);
   EXPECT_TRUE(stats.has_value()) << error;
 
